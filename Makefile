@@ -16,15 +16,22 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The second leg reruns the allocator and fork-engine packages at one,
+# two and four procs: the shard count, the shard a call lands in and the
+# parallel fork fan-out all follow GOMAXPROCS, and a test that assumes
+# one value passes on the host that wrote it and fails elsewhere.
 test:
 	$(GO) test ./...
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 ./internal/mem/... ./internal/core/... || exit 1; done
 
 # The concurrency-sensitive packages: the parallel fork engine, the
 # sharded allocator, the lock-free flight recorder, the socket serving
-# tier (concurrent clients + snapshotter forks + reclaim), and
-# everything between them.
+# tier (concurrent clients + snapshotter forks + reclaim), everything
+# between them, and the repository benchmark's smoke runs, which drive
+# all of it at once (a parent's COW faults against a snapshot child's
+# exit is how the Put/release charger race was found).
 race:
-	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/trace/... ./internal/apps/serve/... ./internal/slo/... ./internal/tenant/... ./internal/kernel/...
+	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/trace/... ./internal/apps/serve/... ./internal/slo/... ./internal/tenant/... ./internal/kernel/... ./benchmark
 
 # Fixed iteration count: several benchmarks do expensive unmeasured
 # setup per iteration (see bench_test.go).

@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,6 +71,15 @@ func TestStressServeSnapshotReclaim(t *testing.T) {
 
 	const clients = 8
 	const perClient = 250
+	// Clients send at least perClient requests each and keep going until
+	// reclaim has stolen a page: on a fast host the minimum is done in
+	// tens of milliseconds, before the hog has crossed the watermark, and
+	// the point of the test is the two running against each other.
+	var pressured atomic.Bool
+	reclaimed := func() bool {
+		rec := k.MetricsSnapshot().Reclaim
+		return rec.PgStealKswapd+rec.PgStealDirect > 0
+	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients+1)
 	for c := 0; c < clients; c++ {
@@ -86,7 +96,7 @@ func TestStressServeSnapshotReclaim(t *testing.T) {
 			cd := BinaryCodec{}
 			rng := rand.New(rand.NewSource(int64(id)))
 			val := make([]byte, 32)
-			for i := 0; i < perClient; i++ {
+			for i := 0; i < perClient || !pressured.Load(); i++ {
 				var payload []byte
 				switch rng.Intn(3) {
 				case 0:
@@ -170,16 +180,18 @@ func TestStressServeSnapshotReclaim(t *testing.T) {
 	}()
 
 	// Wait for the clients by polling served count (so a wedged client
-	// surfaces its error instead of hanging wg.Wait), then stop the
-	// on-demand loop and join everything.
+	// surfaces its error instead of hanging wg.Wait) and for reclaim to
+	// have run, then release the clients, stop the on-demand loop and
+	// join everything.
 	deadline := time.Now().Add(120 * time.Second)
-	for srv.Served() < uint64(clients*perClient) && time.Now().Before(deadline) {
+	for (srv.Served() < uint64(clients*perClient) || !reclaimed()) && time.Now().Before(deadline) {
 		select {
 		case err := <-errCh:
 			t.Fatal(err)
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+	pressured.Store(true)
 	if srv.Served() < uint64(clients*perClient) {
 		t.Fatalf("served %d of %d requests before deadline", srv.Served(), clients*perClient)
 	}
@@ -217,8 +229,7 @@ func TestStressServeSnapshotReclaim(t *testing.T) {
 	if err := k.CheckInvariants(); err != nil {
 		t.Errorf("invariants after stress: %v", err)
 	}
-	rec := k.MetricsSnapshot().Reclaim
-	if rec.PgStealKswapd+rec.PgStealDirect == 0 {
+	if !reclaimed() {
 		t.Error("no pages reclaimed: the stress never reached memory pressure")
 	}
 	k.SetSwapEnabled(false) // retire kswapd before the leak check

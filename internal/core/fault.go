@@ -467,7 +467,7 @@ func (as *AddressSpace) splitSharedPMDLocked(pud *pagetable.Table, pi int, old *
 	}
 
 	as.notePMDSplit()
-	newPMD.CopyEntriesFrom(old, as.prof)
+	as.prof.Charge(profile.PTCopy, 1)
 	for i := 0; i < addr.EntriesPerTable; i++ {
 		e := old.Entry(i)
 		if !e.Present() {
@@ -475,11 +475,11 @@ func (as *AddressSpace) splitSharedPMDLocked(pud *pagetable.Table, pi int, old *
 		}
 		if e.Huge() {
 			if e.Writable() {
-				protected := e.Without(pagetable.FlagWritable | pagetable.FlagDirty).
+				e = e.Without(pagetable.FlagWritable | pagetable.FlagDirty).
 					With(pagetable.FlagCOW)
-				old.SetEntry(i, protected)
-				newPMD.SetEntry(i, protected)
+				old.SetEntry(i, e)
 			}
+			newPMD.SetEntry(i, e)
 			as.alloc.Get(e.Frame())
 			if m := as.trk(); m != nil {
 				m.HugeMapped(e.Frame(), newPMD, i, as)
@@ -571,31 +571,12 @@ func (as *AddressSpace) splitSharedLeafLocked(pmd *pagetable.Table, pi int, old 
 		}
 		splitStart = time.Now()
 	}
-	newLeaf.CopyEntriesFrom(old, as.prof)
-	for i := 0; i < addr.EntriesPerTable; i++ {
-		e := old.Entry(i)
-		if e.Swapped() {
-			// The copied swap entry is a new reference to its slot.
-			as.rec.SwapRef(e.SwapSlot())
-			continue
-		}
-		if !e.Present() {
-			continue
-		}
-		if e.Writable() {
-			// The page was writable pre-fork and is now shared between
-			// at least two lineages: downgrade to COW everywhere.
-			protected := e.Without(pagetable.FlagWritable | pagetable.FlagDirty).With(pagetable.FlagCOW)
-			old.SetEntry(i, protected)
-			newLeaf.SetEntry(i, protected)
-		}
-		// The new table takes its own reference on every page it maps
-		// (§3.6: exactly one page reference per present entry per table).
-		as.alloc.Get(e.Frame())
-		if m := as.trk(); m != nil {
-			m.PageMapped(e.Frame(), newLeaf, i, as)
-		}
-	}
+	// Pages writable pre-fork are now shared between at least two
+	// lineages: downgrade them to COW everywhere. The new table takes its
+	// own reference on every page it maps (§3.6: exactly one page
+	// reference per present entry per table).
+	as.prof.Charge(profile.PTCopy, 1)
+	as.copyLeafLocked(newLeaf, old, as)
 	if as.alloc.PTSharePut(old.Frame) == 0 {
 		panic("core: shared table refcount reached zero during split")
 	}
@@ -614,6 +595,27 @@ func (as *AddressSpace) splitSharedLeafLocked(pmd *pagetable.Table, pi int, old 
 		as.met.Fault.TableCopyLatency.ObserveTagged(time.Since(splitStart), as.curReq.Load())
 	}
 	return newLeaf
+}
+
+// copyLeafLocked fills the unpublished table dst with a copy-on-write
+// copy of the last-level table src, whose lock the caller holds — the
+// whole of a table split, and the per-slot work of classic fork: entries
+// and their COW downgrade in one kernel pass, one page reference per
+// present entry in one batch, one slot reference per swap entry, and,
+// only when reclaim is tracking, dst's reverse mappings on behalf of
+// owner in a pass of their own. It returns the present entries copied.
+func (as *AddressSpace) copyLeafLocked(dst, src *pagetable.Table, owner *AddressSpace) int {
+	var frames pagetable.LeafFrames
+	n := dst.CopyLeafFrom(src, &frames, as.rec.SwapRef)
+	as.alloc.GetBatch(frames[:n])
+	if m := as.trk(); m != nil {
+		for i := 0; i < addr.EntriesPerTable; i++ {
+			if e := dst.Entry(i); e.Present() {
+				m.PageMapped(e.Frame(), dst, i, owner)
+			}
+		}
+	}
+	return n
 }
 
 // pageCOWLocked resolves a write to a write-protected 4 KiB page in a

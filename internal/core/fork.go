@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/failpoint"
 	"repro/internal/mem/addr"
 	"repro/internal/mem/pagetable"
-	"repro/internal/mem/phys"
 	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -334,23 +332,16 @@ func (as *AddressSpace) copyTreeClassic(src, dst *pagetable.Table, child *Addres
 	}
 }
 
-// framePool recycles the per-range scratch slice that batches page
-// reference increments through GetBatch, so a warm fork range takes no
-// allocation for it.
-var framePool = sync.Pool{New: func() any {
-	s := make([]phys.Frame, 0, addr.EntriesPerTable)
-	return &s
-}}
-
 // copyPMDRangeClassic copies the PMD slots [lo, hi) from src to dst —
 // the unit of work one parallel-fork task performs (actor names the
-// worker running it). Per-page refcount traffic is batched per leaf
-// table through GetBatch, which preserves per-frame semantics while
-// charging the profiler per batch. The destination table's tallies,
-// the tables-copied metric, and the upper-walk profile charge are
-// likewise applied once per range instead of once per slot; the flush
-// runs deferred so a mid-range allocation panic still leaves dst's
-// tallies consistent for the rollback's teardown.
+// worker running it). Each leaf goes through copyLeafLocked, the same
+// whole-table copy a table split performs, which batches the per-page
+// refcount traffic through GetBatch — per-frame semantics, one profiler
+// charge per batch. The destination table's tallies, the tables-copied
+// metric, and the upper-walk profile charge are likewise applied once
+// per range instead of once per slot; the flush runs deferred so a
+// mid-range allocation panic still leaves dst's tallies consistent for
+// the rollback's teardown.
 func (as *AddressSpace) copyPMDRangeClassic(src, dst *pagetable.Table, lo, hi int, child *AddressSpace, actor int32) {
 	var rangeStart time.Time
 	var req uint64
@@ -360,8 +351,6 @@ func (as *AddressSpace) copyPMDRangeClassic(src, dst *pagetable.Table, lo, hi in
 	}
 	defer as.trc.SpanReq(trace.KindForkStage, trace.StageRefcount, actor, rangeStart, uint64(lo), uint64(hi), req)
 	fp := as.alloc.Failpoints()
-	framesP := framePool.Get().(*[]phys.Frame)
-	frames := (*framesP)[:0]
 	var d pagetable.TallyDelta
 	var copied, walked uint64
 	defer func() {
@@ -372,8 +361,6 @@ func (as *AddressSpace) copyPMDRangeClassic(src, dst *pagetable.Table, lo, hi in
 		if copied != 0 && as.met.Enabled() {
 			as.met.Fork.TablesCopied.Add(copied)
 		}
-		*framesP = frames[:0]
-		framePool.Put(framesP)
 	}()
 	for i := lo; i < hi; i++ {
 		e := src.Entry(i)
@@ -391,33 +378,10 @@ func (as *AddressSpace) copyPMDRangeClassic(src, dst *pagetable.Table, lo, hi in
 		}
 		as.failInject(fp, failpoint.ForkRefcount)
 		newLeaf := pagetable.NewTableFor(as.alloc, addr.PTE, child.charger)
-		frames = frames[:0]
 		leaf.Lock()
-		for li := 0; li < addr.EntriesPerTable; li++ {
-			le := leaf.Entry(li)
-			if le.Swapped() {
-				// The child's copy of a swap PTE is a new slot reference.
-				newLeaf.SetEntry(li, le)
-				as.rec.SwapRef(le.SwapSlot())
-				continue
-			}
-			if !le.Present() {
-				continue
-			}
-			if le.Writable() {
-				le = le.Without(pagetable.FlagWritable | pagetable.FlagDirty).
-					With(pagetable.FlagCOW)
-				leaf.SetEntry(li, le)
-			}
-			newLeaf.SetEntry(li, le)
-			frames = append(frames, le.Frame())
-			if m := as.trk(); m != nil {
-				m.PageMapped(le.Frame(), newLeaf, li, child)
-			}
-		}
-		as.prof.Charge(profile.CopyOnePTE, uint64(len(frames)))
-		as.alloc.GetBatch(frames)
+		n := as.copyLeafLocked(newLeaf, leaf, child)
 		leaf.Unlock()
+		as.prof.Charge(profile.CopyOnePTE, uint64(n))
 		// Install the child slot writable at the PMD level in one entry
 		// store: under classic fork per-PTE bits govern permissions, so
 		// the upper levels must not mask them.

@@ -540,19 +540,8 @@ func (as *AddressSpace) zapRangeLocked(r addr.Range) {
 		// per-entry page references (and swap-slot references for
 		// entries that were swapped out).
 		zap := coverage.Intersect(r)
-		for v := zap.Start; v < zap.End; v += addr.PageSize {
-			li := v.Index(addr.PTE)
-			if e := leaf.Entry(li); e.Present() {
-				if m := as.trk(); m != nil {
-					m.PageUnmapped(e.Frame(), leaf, li)
-				}
-				as.alloc.Put(e.Frame())
-				leaf.SetEntry(li, 0)
-			} else if e.Swapped() {
-				as.rec.SwapUnref(e.SwapSlot())
-				leaf.SetEntry(li, 0)
-			}
-		}
+		lo := zap.Start.Index(addr.PTE)
+		as.drainLeafLocked(leaf, lo, lo+int(addr.Pages(zap.Size())))
 		empty := leaf.PresentCount() == 0 && leaf.SwapCount() == 0
 		leaf.Unlock()
 		if empty && !stillNeeded {
@@ -579,24 +568,32 @@ func (as *AddressSpace) releaseLeafRef(leaf *pagetable.Table) {
 		}
 		return
 	}
-	for i := 0; i < addr.EntriesPerTable; i++ {
-		if e := leaf.Entry(i); e.Present() {
-			if m := as.trk(); m != nil {
-				m.PageUnmapped(e.Frame(), leaf, i)
-			}
-			as.alloc.Put(e.Frame())
-			leaf.SetEntry(i, 0)
-		} else if e.Swapped() {
-			as.rec.SwapUnref(e.SwapSlot())
-			leaf.SetEntry(i, 0)
-		}
-	}
+	as.drainLeafLocked(leaf, 0, addr.EntriesPerTable)
 	leaf.Unlock()
 	if m := as.trk(); m != nil {
 		m.TableFreed(leaf)
 	}
 	as.alloc.Put(leaf.Frame)
 	leaf.Recycle()
+}
+
+// drainLeafLocked empties entries [lo, hi) of a last-level table this
+// space owns exclusively (share count zero, or one with as.mu held),
+// with the table's lock held: one page reference and one reverse mapping
+// dropped per present entry, one slot reference per swap entry. The
+// reverse map goes first, in its own pass: once reclaim cannot reach the
+// entries nothing else can, so the kernel clears them with plain stores.
+func (as *AddressSpace) drainLeafLocked(leaf *pagetable.Table, lo, hi int) {
+	if m := as.trk(); m != nil {
+		for i := lo; i < hi; i++ {
+			if e := leaf.Entry(i); e.Present() {
+				m.PageUnmapped(e.Frame(), leaf, i)
+			}
+		}
+	}
+	var frames pagetable.LeafFrames
+	n := leaf.DrainLeaf(lo, hi, &frames, as.rec.SwapUnref)
+	as.alloc.PutBatch(frames[:n])
 }
 
 // Mremap moves the mapping at oldStart (oldSize bytes) to a new

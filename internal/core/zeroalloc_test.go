@@ -113,6 +113,43 @@ func TestFaultFastPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSplitThenExitZeroAlloc asserts that the deferred work of an
+// on-demand fork — the child's first write copies a shared table, its
+// exit drains the privatised copy — stays off the Go heap once the pools
+// are warm: the leaf kernels gather frames on the stack, and the
+// swap-slot callbacks they are handed do not escape.
+func TestSplitThenExitZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations and drops pool items")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	parent, base := zeroAllocParent(t)
+	defer parent.Teardown()
+
+	cycle := func() {
+		child, err := ForkWithOptions(parent, ForkOnDemand, ForkOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Touch writes without moving data: the source page is still
+		// demand-zero, so the page copy is elided and no payload is
+		// materialized.
+		if err := child.Touch(base, true); err != nil {
+			t.Fatal(err)
+		}
+		if got := child.TableSplits.Load(); got != 1 {
+			t.Fatalf("the child's first write performed %d table splits, want 1", got)
+		}
+		child.Recycle()
+	}
+	for i := 0; i < 5; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("fork + table split + exit allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
 // TestCorrelationContextZeroAlloc asserts that the request
 // observability layer — metrics armed, a per-tenant slot attached, and
 // a request id stamped on the space — adds zero heap allocations to

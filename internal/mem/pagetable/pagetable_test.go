@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/phys"
-	"repro/internal/profile"
 )
 
 func newWalker() *Walker {
@@ -197,16 +196,15 @@ func TestEnsurePTEUnderHugePanics(t *testing.T) {
 
 func TestCopyEntriesPreservesAccessed(t *testing.T) {
 	alloc := phys.NewAllocator(nil)
-	prof := profile.New()
 	src := NewTable(alloc, addr.PTE)
 	dst := NewTable(alloc, addr.PTE)
 	src.SetEntry(3, MakeEntry(99, FlagAccessed))
-	dst.CopyEntriesFrom(src, prof)
+	var frames LeafFrames
+	if n := dst.CopyLeafFrom(src, &frames, nil); n != 1 || frames[0] != 99 {
+		t.Errorf("copy gathered %d frames (first %d), want frame 99 alone", n, frames[0])
+	}
 	if !dst.Entry(3).Accessed() {
 		t.Error("accessed bit lost in table copy")
-	}
-	if got := prof.Count(profile.PTCopy); got != 1 {
-		t.Errorf("PTCopy count = %d", got)
 	}
 }
 
@@ -394,13 +392,7 @@ func TestPresentHugeCounts(t *testing.T) {
 	tb.OrEntry(3, FlagHuge) // Or onto an empty slot still tallies
 	check(tb, "or huge on empty")
 
-	src := NewTable(alloc, addr.PMD)
-	for i := 0; i < 40; i++ {
-		src.SetEntry(i*3, MakeEntry(phys.Frame(200+i), FlagHuge))
-	}
-	tb.CopyEntriesFrom(src, nil)
-	check(tb, "copy entries")
-
+	var frames LeafFrames
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		slot := rng.Intn(addr.EntriesPerTable)
@@ -412,8 +404,13 @@ func TestPresentHugeCounts(t *testing.T) {
 		case 2:
 			tb.OrEntry(slot, Entry(rng.Intn(1<<10)))
 		case 3:
-			tb.CopyEntriesFrom(src, nil)
+			tb.DrainLeaf(slot, min(slot+rng.Intn(8), addr.EntriesPerTable), &frames, func(uint64) {})
 		}
 	}
 	check(tb, "randomized")
+
+	cp := NewTable(alloc, addr.PMD)
+	cp.CopyLeafFrom(tb, &frames, func(uint64) {})
+	check(tb, "copy source")
+	check(cp, "copy destination")
 }

@@ -22,8 +22,14 @@ type Table struct {
 	Level addr.Level
 	Frame phys.Frame
 
-	mu       sync.Mutex
-	entries  [addr.EntriesPerTable]atomic.Uint64
+	mu sync.Mutex
+	// entries are plain words so that a table its caller owns exclusively
+	// (unpublished, or past its last sharer with the reverse map purged)
+	// can be filled and emptied with ordinary stores (leaf.go). A table
+	// others can reach is accessed through sync/atomic only: sharers walk
+	// it, the simulated CPU ORs accessed/dirty bits into it and reclaim
+	// ages it, all without the table lock.
+	entries  [addr.EntriesPerTable]uint64
 	children [addr.EntriesPerTable]*Table // non-leaf levels only
 
 	// present, huge, and swapped count entries carrying FlagPresent /
@@ -82,13 +88,14 @@ func TryNewTableNoReclaim(alloc *phys.Allocator, level addr.Level) (*Table, erro
 // Recycle returns the node to the table pool. The caller must have
 // released the backing frame and hold the last reference: no other
 // address space may share the table (share count reached zero) and any
-// reclaim-side rmap state must already be purged (TableFreed). Entries
-// are cleared with conditional stores — free paths have usually zeroed
-// them one by one already, so the common case is 512 plain loads.
+// reclaim-side rmap state must already be purged (TableFreed), so plain
+// accesses suffice. Entries are cleared with conditional stores — free
+// paths have usually drained them already, so the common case is 512
+// loads.
 func (t *Table) Recycle() {
 	for i := range t.entries {
-		if t.entries[i].Load() != 0 {
-			t.entries[i].Store(0)
+		if t.entries[i] != 0 {
+			t.entries[i] = 0
 		}
 		if t.children[i] != nil {
 			t.children[i] = nil
@@ -117,19 +124,19 @@ func (t *Table) Unlock() { t.mu.Unlock() }
 // Entry returns the entry at index i. Entries are read atomically
 // because last-level tables are shared between concurrently running
 // simulated processes, just as hardware PTE reads are atomic words.
-func (t *Table) Entry(i int) Entry { return Entry(t.entries[i].Load()) }
+func (t *Table) Entry(i int) Entry { return Entry(atomic.LoadUint64(&t.entries[i])) }
 
 // SetEntry stores the entry at index i atomically and keeps the
 // present/huge counts in sync with the old and new entry bits.
 func (t *Table) SetEntry(i int, e Entry) {
-	old := Entry(t.entries[i].Swap(uint64(e)))
+	old := Entry(atomic.SwapUint64(&t.entries[i], uint64(e)))
 	t.adjustCounts(old, e)
 }
 
 // OrEntry atomically sets flag bits on the entry at index i — the
 // simulated CPU uses it for accessed/dirty bit updates.
 func (t *Table) OrEntry(i int, flags Entry) {
-	old := Entry(t.entries[i].Or(uint64(flags & flagsMask)))
+	old := Entry(atomic.OrUint64(&t.entries[i], uint64(flags&flagsMask)))
 	t.adjustCounts(old, old|(flags&flagsMask))
 }
 
@@ -141,33 +148,15 @@ func (t *Table) ClearEntryFlags(i int, flags Entry) {
 	if flags&(FlagPresent|FlagHuge|FlagSwapped) != 0 {
 		panic("pagetable: ClearEntryFlags on a tallied bit")
 	}
-	t.entries[i].And(uint64(^(flags & flagsMask)))
+	atomic.AndUint64(&t.entries[i], uint64(^(flags & flagsMask)))
 }
 
 // adjustCounts updates the present/huge/swapped tallies for an old→new
 // entry transition.
 func (t *Table) adjustCounts(old, new Entry) {
-	if old.Present() != new.Present() {
-		if new.Present() {
-			t.present.Add(1)
-		} else {
-			t.present.Add(-1)
-		}
-	}
-	if old.Huge() != new.Huge() {
-		if new.Huge() {
-			t.huge.Add(1)
-		} else {
-			t.huge.Add(-1)
-		}
-	}
-	if old.Swapped() != new.Swapped() {
-		if new.Swapped() {
-			t.swapped.Add(1)
-		} else {
-			t.swapped.Add(-1)
-		}
-	}
+	var d TallyDelta
+	d.Note(old, new)
+	t.FlushTally(d)
 }
 
 // Child returns the child table at index i (nil for leaf tables or
@@ -244,7 +233,7 @@ func (d *TallyDelta) Note(old, new Entry) {
 // transition in d instead of touching the shared atomic counters. The
 // caller must FlushTally(d) before anyone reads the tallies.
 func (t *Table) SetEntryDeferTally(i int, e Entry, d *TallyDelta) {
-	old := Entry(t.entries[i].Swap(uint64(e)))
+	old := Entry(atomic.SwapUint64(&t.entries[i], uint64(e)))
 	d.Note(old, e)
 }
 
@@ -270,23 +259,6 @@ func (t *Table) FlushTally(d TallyDelta) {
 	if d.Swapped != 0 {
 		t.swapped.Add(d.Swapped)
 	}
-}
-
-// CopyEntriesFrom copies all 512 architectural entries of src into t,
-// preserving accessed bits (§3.2: the accessed bit value is duplicated
-// when copying shared page tables). It is the bulk work of a PTE-table
-// copy-on-write split and charges the corresponding profile counter.
-// Tally updates are batched: three atomic adds per table instead of up
-// to three per entry.
-func (t *Table) CopyEntriesFrom(src *Table, prof *profile.Profiler) {
-	prof.Charge(profile.PTCopy, 1)
-	var d TallyDelta
-	for i := range t.entries {
-		ne := Entry(src.entries[i].Load())
-		old := Entry(t.entries[i].Swap(uint64(ne)))
-		d.Note(old, ne)
-	}
-	t.FlushTally(d)
 }
 
 // Walker navigates the hierarchy rooted at a PGD table.

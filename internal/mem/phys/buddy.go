@@ -53,24 +53,29 @@ func (a *Allocator) popFree(order uint8) Frame {
 
 // pushFree adds a free block of the given order. Caller holds the lock.
 func (a *Allocator) pushFree(f Frame, order uint8) {
-	a.info(f).freeOrder = int8(order) + 1
+	pi := a.info(f)
+	pi.freeOrder = int8(order) + 1
+	pi.freeIdx = uint32(len(a.buddy.freeLists[order]))
 	a.buddy.freeLists[order] = append(a.buddy.freeLists[order], f)
 }
 
 // removeFree unlinks a specific free block (used when its buddy
-// coalesces with it). Caller holds the lock. The free lists are small
-// slices; removal swaps with the tail.
+// coalesces with it). Caller holds the lock. Every free block records
+// its list position, so removal is O(1): the tail takes the vacated
+// position. An order-0 list holds every free frame of a torn-down image,
+// which a scan would pay for on each coalesce.
 func (a *Allocator) removeFree(f Frame, order uint8) {
 	list := a.buddy.freeLists[order]
-	for i, b := range list {
-		if b == f {
-			list[i] = list[len(list)-1]
-			a.buddy.freeLists[order] = list[:len(list)-1]
-			a.info(f).freeOrder = notFree
-			return
-		}
+	pi := a.info(f)
+	i := int(pi.freeIdx)
+	if i >= len(list) || list[i] != f {
+		panic("phys: free block missing from its free list")
 	}
-	panic("phys: free block missing from its free list")
+	last := list[len(list)-1]
+	list[i] = last
+	a.info(last).freeIdx = uint32(i)
+	a.buddy.freeLists[order] = list[:len(list)-1]
+	pi.freeOrder = notFree
 }
 
 // allocBlock carves out a block of the given order, growing the arena

@@ -2,6 +2,7 @@ package phys
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -169,4 +170,132 @@ func TestAllocPanicsAtLimit(t *testing.T) {
 		}
 	}()
 	a.Alloc()
+}
+
+// scanBuddy is the buddy core as it was before free blocks recorded
+// their list position: removeFree finds the block by scanning its list.
+// It is the reference the O(1) removal is held to — same swap-with-tail,
+// so the same list order and therefore the same frames handed out.
+type scanBuddy struct {
+	lists     [MaxOrder + 1][]Frame
+	freeOrder map[Frame]int8
+	next      Frame
+}
+
+func (b *scanBuddy) push(f Frame, order uint8) {
+	b.freeOrder[f] = int8(order) + 1
+	b.lists[order] = append(b.lists[order], f)
+}
+
+func (b *scanBuddy) pop(order uint8) Frame {
+	list := b.lists[order]
+	if len(list) == 0 {
+		return NoFrame
+	}
+	f := list[len(list)-1]
+	b.lists[order] = list[:len(list)-1]
+	delete(b.freeOrder, f)
+	return f
+}
+
+func (b *scanBuddy) remove(f Frame, order uint8) {
+	list := b.lists[order]
+	for i, x := range list {
+		if x == f {
+			list[i] = list[len(list)-1]
+			b.lists[order] = list[:len(list)-1]
+			delete(b.freeOrder, f)
+			return
+		}
+	}
+	panic("scanBuddy: free block missing from its free list")
+}
+
+func (b *scanBuddy) alloc(order uint8) Frame {
+	for o := order; o <= MaxOrder; o++ {
+		f := b.pop(o)
+		if !f.Valid() {
+			continue
+		}
+		for cur := o; cur > order; cur-- {
+			b.push(f+Frame(1)<<(cur-1), cur-1)
+		}
+		return f
+	}
+	f := blockHead(b.next+Frame(1)<<MaxOrder-1, MaxOrder)
+	b.next = f + Frame(1)<<MaxOrder
+	for cur := uint8(MaxOrder); cur > order; cur-- {
+		b.push(f+Frame(1)<<(cur-1), cur-1)
+	}
+	return f
+}
+
+func (b *scanBuddy) free(f Frame, order uint8) {
+	for order < MaxOrder {
+		bud := buddyOf(f, order)
+		if bud >= b.next || b.freeOrder[bud] != int8(order)+1 {
+			break
+		}
+		b.remove(bud, order)
+		if bud < f {
+			f = bud
+		}
+		order++
+	}
+	b.push(f, order)
+}
+
+// TestBuddyRemoveMatchesScan drives the buddy core and the scanning
+// reference through the same random alloc/free sequences and requires
+// identical frames out and identical free lists — order included — after
+// every step, plus the position index the O(1) removal relies on.
+func TestBuddyRemoveMatchesScan(t *testing.T) {
+	type block struct {
+		head  Frame
+		order uint8
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := NewAllocator(nil)
+		ref := &scanBuddy{freeOrder: map[Frame]int8{}, next: 1}
+		var live []block
+		for op := 0; op < 4000; op++ {
+			// Allocation-heavy first, free-heavy later, so lists grow long
+			// and then coalesce back.
+			if len(live) == 0 || rng.Intn(4000) > op {
+				order := uint8(0)
+				if rng.Intn(6) == 0 {
+					order = uint8(rng.Intn(MaxOrder + 1))
+				}
+				a.mu.Lock()
+				got := a.allocBlock(order)
+				a.mu.Unlock()
+				if want := ref.alloc(order); got != want {
+					t.Fatalf("seed %d op %d: order-%d alloc gave frame %d, scan reference %d", seed, op, order, got, want)
+				}
+				live = append(live, block{got, order})
+			} else {
+				i := rng.Intn(len(live))
+				b := live[i]
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				a.mu.Lock()
+				a.freeBlock(b.head, b.order)
+				a.mu.Unlock()
+				ref.free(b.head, b.order)
+			}
+			for o := range a.buddy.freeLists {
+				list := a.buddy.freeLists[o]
+				if !slices.Equal(list, ref.lists[o]) {
+					t.Fatalf("seed %d op %d: order-%d free list %v, scan reference %v", seed, op, o, list, ref.lists[o])
+				}
+				for i, f := range list {
+					if pi := a.info(f); int(pi.freeIdx) != i || pi.freeOrder != int8(o)+1 {
+						t.Fatalf("seed %d op %d: frame %d at order-%d position %d records order+1 %d position %d",
+							seed, op, f, o, i, pi.freeOrder, pi.freeIdx)
+					}
+				}
+			}
+		}
+	}
 }

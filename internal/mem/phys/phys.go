@@ -42,7 +42,7 @@ func (f Frame) Valid() bool { return f != NoFrame }
 
 // Page flag bits stored in PageInfo.flags.
 const (
-	flagCompoundHead uint32 = 1 << iota
+	flagCompoundHead uint8 = 1 << iota
 	flagCompoundTail
 	flagPageTable
 	flagAllocated
@@ -61,9 +61,10 @@ const HugeOrder = 9
 type PageInfo struct {
 	refcount  atomic.Int32 // users of this frame (mapcount folded in)
 	ptShared  atomic.Int32 // union: share count when frame holds a PTE table
-	flags     uint32       // guarded by the allocator lock for alloc state
+	flags     uint8        // guarded by the allocator lock for alloc state
 	order     uint8        // compound order (head pages only)
 	freeOrder int8         // buddy state: 0 = not free, else block order+1
+	freeIdx   uint32       // buddy state: position in freeLists[freeOrder-1]
 	head      Frame        // compound head (tail pages only)
 	charger   FrameCharger // tenant account the frame is charged to (nil = none)
 	data      []byte       // lazily materialized 4 KiB payload; nil = zeroes
@@ -418,12 +419,12 @@ func (a *Allocator) Get(f Frame) {
 
 // GetBatch increments the reference count of every page in frames,
 // resolving compound pages, with the profiler charged once per counter
-// per batch instead of once per frame. Classic fork uses it to
-// amortize the per-page accounting of one leaf table into two charges,
-// while keeping eager-ref semantics: every frame still receives its
-// compound-head resolution and its own atomic increment, so the event
-// counts (the Figure 3 quantities) are identical to len(frames) calls
-// of Get.
+// per batch instead of once per frame. A leaf-table copy (classic fork,
+// table split) uses it to amortize the per-page accounting of one table
+// into two charges, while keeping eager-ref semantics: every frame still
+// receives its compound-head resolution and its own atomic increment, so
+// the event counts (the Figure 3 quantities) are identical to
+// len(frames) calls of Get.
 func (a *Allocator) GetBatch(frames []Frame) {
 	if len(frames) == 0 {
 		return
@@ -464,15 +465,52 @@ func (a *Allocator) Put(f Frame) {
 		pi = a.info(head)
 	}
 	a.prof.Charge(profile.PageRefDec, 1)
-	switch n := pi.refcount.Add(-1); {
+	// Read the charger while the caller's reference still pins it: once
+	// the count drops to one, the holder of that last reference may free
+	// the page — and clear the field — at any moment.
+	charger := pi.charger
+	if n := pi.refcount.Add(-1); n < 1 || n == 1 && charger != nil {
+		a.putLast(head, pi, charger, n)
+	}
+}
+
+// PutBatch drops one reference on every page in frames — to Put what
+// GetBatch is to Get, for draining a leaf table: one chunk-table load
+// and one profile charge per batch, and for every frame its own
+// compound-head resolution, its own atomic decrement, the shared
+// accounting and the free at zero, so the event counts equal
+// len(frames) calls of Put.
+func (a *Allocator) PutBatch(frames []Frame) {
+	if len(frames) == 0 {
+		return
+	}
+	a.prof.Charge(profile.PageRefDec, uint64(len(frames)))
+	chunks := *a.chunks.Load()
+	for _, f := range frames {
+		head := f
+		pi := &chunks[uint64(f)/chunkSize][uint64(f)%chunkSize]
+		if pi.flags&flagCompoundTail != 0 {
+			head = pi.head
+			pi = &chunks[uint64(head)/chunkSize][uint64(head)%chunkSize]
+		}
+		charger := pi.charger // before the decrement, as in Put
+		if n := pi.refcount.Add(-1); n < 1 || n == 1 && charger != nil {
+			a.putLast(head, pi, charger, n)
+		}
+	}
+}
+
+// putLast finishes a put that did more than leave the page shared (or
+// an uncharged page exclusive): at n == 1 a charged page is exclusive
+// again, at n == 0 the page is free.
+func (a *Allocator) putLast(head Frame, pi *PageInfo, charger FrameCharger, n int32) {
+	switch {
+	case n == 1:
+		charger.AdjustShared(-1)
 	case n == 0:
 		a.release(head, pi)
-	case n < 0:
+	default:
 		panic(fmt.Sprintf("phys: refcount of frame %d went negative", head))
-	case n == 1:
-		if pi.charger != nil {
-			pi.charger.AdjustShared(-1)
-		}
 	}
 }
 

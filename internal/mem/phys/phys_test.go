@@ -1,7 +1,9 @@
 package phys
 
 import (
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -47,16 +49,40 @@ func TestRefcountLifecycle(t *testing.T) {
 	}
 }
 
+// reuseCases are the two situations in which the allocator promises that
+// a freed frame is the next one handed out. Which shard a free or an
+// alloc lands in is not part of the contract (see shardFor), so on a
+// multi-shard allocator a free-then-alloc may miss the freed frame until
+// the caches are flushed.
+var reuseCases = []struct {
+	name string
+	// prepare runs on the fresh allocator; settle runs between the free
+	// and the alloc.
+	prepare, settle func(a *Allocator)
+}{
+	// One shard: its cache is LIFO, so the frame comes straight back.
+	{"one shard", func(a *Allocator) { a.shards = a.shards[:1] }, func(*Allocator) {}},
+	// Any shard count: a flush returns every cached frame to the buddy
+	// core, which coalesces the arena and splits it from the bottom again.
+	{"after FlushShards", func(*Allocator) {}, (*Allocator).FlushShards},
+}
+
 func TestFrameReuseAfterFree(t *testing.T) {
-	a := NewAllocator(nil)
-	f := a.Alloc()
-	a.Put(f)
-	g := a.Alloc()
-	if g != f {
-		t.Errorf("free list not reused: got %d, want %d", g, f)
-	}
-	if got := a.RefCount(g); got != 1 {
-		t.Errorf("reused frame refcount = %d, want 1", got)
+	for _, tc := range reuseCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAllocator(nil)
+			tc.prepare(a)
+			f := a.Alloc()
+			a.Put(f)
+			tc.settle(a)
+			g := a.Alloc()
+			if g != f {
+				t.Errorf("free list not reused: got %d, want %d", g, f)
+			}
+			if got := a.RefCount(g); got != 1 {
+				t.Errorf("reused frame refcount = %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -94,16 +120,22 @@ func TestDataLazyMaterialization(t *testing.T) {
 }
 
 func TestDataClearedOnFree(t *testing.T) {
-	a := NewAllocator(nil)
-	f := a.Alloc()
-	a.Data(f)[0] = 0xFF
-	a.Put(f)
-	g := a.Alloc()
-	if g != f {
-		t.Fatalf("expected frame reuse")
-	}
-	if a.DataIfPresent(g) != nil {
-		t.Error("reused frame leaked previous data")
+	for _, tc := range reuseCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAllocator(nil)
+			tc.prepare(a)
+			f := a.Alloc()
+			a.Data(f)[0] = 0xFF
+			a.Put(f)
+			tc.settle(a)
+			g := a.Alloc()
+			if g != f {
+				t.Fatalf("expected frame reuse")
+			}
+			if a.DataIfPresent(g) != nil {
+				t.Error("reused frame leaked previous data")
+			}
+		})
 	}
 }
 
@@ -349,4 +381,152 @@ func TestInfoPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	a.Info(NoFrame)
+}
+
+// countingCharger is a FrameCharger that only counts.
+type countingCharger struct{ frames, shared atomic.Int64 }
+
+func (c *countingCharger) ChargeFrames(n int64)   { c.frames.Add(n) }
+func (c *countingCharger) UnchargeFrames(n int64) { c.frames.Add(-n) }
+func (c *countingCharger) AdjustShared(n int64)   { c.shared.Add(n) }
+
+// TestPutBatchMatchesPut holds PutBatch to len(frames) calls of Put on a
+// twin allocator: ordinary and charged frames at reference counts one to
+// three, compound tails (resolved to their head), repeats of one frame
+// within a batch — the same counts, frees, charger accounting and
+// profile charges.
+func TestPutBatchMatchesPut(t *testing.T) {
+	type world struct {
+		a      *Allocator
+		prof   *profile.Profiler
+		c      *countingCharger
+		frames []Frame // every frame ever referenced, for the comparison
+		batch  []Frame
+	}
+	build := func() *world {
+		w := &world{prof: profile.New(), c: &countingCharger{}}
+		w.a = NewAllocator(w.prof)
+		w.a.shards = w.a.shards[:1] // the twins must hand out the same frames
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 300; i++ {
+			var f Frame
+			if i%2 == 0 {
+				f = w.a.AllocFor(w.c)
+			} else {
+				f = w.a.Alloc()
+			}
+			w.frames = append(w.frames, f)
+			refs := 1 + rng.Intn(3)
+			for r := 1; r < refs; r++ {
+				w.a.Get(f)
+			}
+			// Drop some of the references, possibly all, some of them twice
+			// in the one batch.
+			for r := rng.Intn(refs + 1); r > 0; r-- {
+				w.batch = append(w.batch, f)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			head := w.a.AllocHugeFor(w.c)
+			w.frames = append(w.frames, head)
+			w.a.Get(head + 7)
+			w.batch = append(w.batch, head+Frame(100+i)) // a tail: resolves to head
+			if i == 0 {
+				w.batch = append(w.batch, head) // second and last reference: freed
+			}
+		}
+		rng.Shuffle(len(w.batch), func(i, j int) { w.batch[i], w.batch[j] = w.batch[j], w.batch[i] })
+		return w
+	}
+	one, batched := build(), build()
+	for _, f := range one.batch {
+		one.a.Put(f)
+	}
+	batched.a.PutBatch(batched.batch)
+	batched.a.PutBatch(nil)
+
+	for i, f := range one.frames {
+		if g := batched.frames[i]; g != f {
+			t.Fatalf("twin allocators diverged before the test: frame %d vs %d", f, g)
+		}
+		if got, want := batched.a.RefCount(f), one.a.RefCount(f); got != want {
+			t.Errorf("frame %d: refcount %d after PutBatch, %d after Puts", f, got, want)
+		}
+	}
+	if got, want := batched.a.Allocated(), one.a.Allocated(); got != want {
+		t.Errorf("allocated %d after PutBatch, %d after Puts", got, want)
+	}
+	if got, want := batched.c.frames.Load(), one.c.frames.Load(); got != want {
+		t.Errorf("charged frames %d after PutBatch, %d after Puts", got, want)
+	}
+	if got, want := batched.c.shared.Load(), one.c.shared.Load(); got != want {
+		t.Errorf("charger shared count %d after PutBatch, %d after Puts", got, want)
+	}
+	for _, ctr := range []string{profile.PageRefDec, profile.CompoundHead, profile.PageRefInc} {
+		if got, want := batched.prof.Count(ctr), one.prof.Count(ctr); got != want {
+			t.Errorf("%v charged %d after PutBatch, %d after Puts", ctr, got, want)
+		}
+	}
+	if got := batched.prof.Count(profile.PageRefDec); got != uint64(len(batched.batch)) {
+		t.Errorf("page_ref_dec = %d, want one per frame (%d)", got, len(batched.batch))
+	}
+}
+
+func TestPutBatchNegativeRefcountPanics(t *testing.T) {
+	a := NewAllocator(nil)
+	f := a.Alloc()
+	defer func() {
+		if recover() == nil {
+			t.Error("PutBatch below zero did not panic")
+		}
+	}()
+	a.PutBatch([]Frame{f, f})
+}
+
+// TestConcurrentLastPutsOfChargedFrames is the regression test for the
+// charger race: two holders drop the last two references of a charged
+// frame at once, so one Put sees the count reach one (and must tell the
+// charger the frame is exclusive again) while the other frees the frame
+// and clears its charger. Run under -race; Put reading the charger after
+// its decrement was a reported data race.
+func TestConcurrentLastPutsOfChargedFrames(t *testing.T) {
+	a := NewAllocator(nil)
+	c := &countingCharger{}
+	const n = 2000
+	frames := make([]Frame, n)
+	for i := range frames {
+		frames[i] = a.AllocFor(c)
+		a.Get(frames[i])
+	}
+	if got := c.shared.Load(); got != n {
+		t.Fatalf("shared count = %d before the puts, want %d", got, n)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	wg.Add(2)
+	go func() { // one reference at a time
+		defer wg.Done()
+		<-start
+		for _, f := range frames {
+			a.Put(f)
+		}
+	}()
+	go func() { // the other reference, a table's worth per batch
+		defer wg.Done()
+		<-start
+		for lo := 0; lo < n; lo += 500 {
+			a.PutBatch(frames[lo : lo+500])
+		}
+	}()
+	close(start)
+	wg.Wait()
+	if got := a.Allocated(); got != 0 {
+		t.Errorf("allocated = %d after the last puts, want 0", got)
+	}
+	if got := c.frames.Load(); got != 0 {
+		t.Errorf("charged frames = %d after the last puts, want 0", got)
+	}
+	if got := c.shared.Load(); got != 0 {
+		t.Errorf("shared count = %d after the last puts, want 0", got)
+	}
 }

@@ -55,11 +55,17 @@ func newShards() []shard {
 	return make([]shard, n)
 }
 
-// shardFor picks a shard for the calling goroutine. Go does not expose
-// CPU identity, so we hash the goroutine's stack address (stable per
-// goroutine for the life of a call frame, distinct across goroutines)
-// — the same affinity trick sync.Pool relies on pinning for. A wrong
-// guess costs contention, never correctness.
+// shardFor picks a shard for this call. Go does not expose CPU identity,
+// so the shard is a hash of the address of a local in shardFor's own
+// frame. That spreads goroutines running at once over the shards —
+// their stacks are distinct — which is all the caches need to stay off
+// each other's locks. It is not affinity: one goroutine reaches here at
+// different stack depths from the alloc and the free paths and may land
+// in different shards, and a stack move re-homes it, so a frame freed by
+// a goroutine is not promised to its next allocation (only a flush, or a
+// single shard, guarantees reuse), and the shard hit rate on a
+// multi-core host follows from the call graph rather than from locality.
+// A "wrong" shard costs a refill or a contended lock, never correctness.
 func (a *Allocator) shardFor() *shard {
 	var probe byte
 	h := uintptr(unsafe.Pointer(&probe))
@@ -113,7 +119,8 @@ func (a *Allocator) allocFrame() Frame {
 // freeFrame returns one order-0 frame to the caller's shard, draining
 // the oldest batch to the buddy core when the cache is full. Draining
 // from the front keeps recently freed frames at the LIFO top, so a
-// free-then-alloc on one goroutine reuses the same (cache-hot) frame.
+// free-then-alloc that lands in the same shard reuses the same
+// (cache-hot) frame.
 func (a *Allocator) freeFrame(f Frame) {
 	s := a.shardFor()
 	s.mu.Lock()

@@ -302,7 +302,14 @@ func (m *Manager) SetEnabled(on bool) {
 		go m.kswapd(m.stopCh, m.doneCh)
 		return
 	}
+	// Flip tracking between reclaim passes, never under one: a pass in
+	// flight keeps ageing PTEs through the reverse map, and the space
+	// that owns a table relies on "tracking off" meaning nobody but
+	// itself can reach the table's entries (core drains them with plain
+	// stores). Later passes see the flag and return at once.
+	m.reclaimMu.Lock()
 	m.tracking.Store(false)
+	m.reclaimMu.Unlock()
 	close(m.stopCh)
 	<-m.doneCh
 	m.stopCh, m.doneCh = nil, nil
@@ -1219,6 +1226,22 @@ func (m *Manager) Stats() ManagerStats {
 		st.Store = store.Stats()
 	}
 	return st
+}
+
+// Mapped reports whether the reverse map records entry idx of t as a
+// mapping of frame f (tests and diagnostics; VerifyBookkeeping checks
+// the other direction, that every recorded mapping is live).
+func (m *Manager) Mapped(f phys.Frame, t *pagetable.Table, idx int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n := m.frames[f]; n != nil {
+		for _, mp := range n.mappings {
+			if mp.table == t && mp.idx == idx {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // VerifyBookkeeping cross-checks reclaim state against ground truth
