@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-gate bench-gate-baseline pressure trace chaos slo serverless obs-scrape ckpt
+.PHONY: all build vet loc test race bench bench-json bench-gate bench-gate-baseline pressure trace chaos slo serverless obs-scrape ckpt
 
 # Newest committed curated baseline (BENCH_<date>.json sorts by date).
 # *_pre.json files are point-in-time "before" records kept for the
@@ -15,6 +15,17 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Code size, the north star's two numbers: non-test Go lines per
+# package (with the total inside and outside benchmark/), and the count
+# of exported declarations of the odfork facade (go doc's top-level
+# const/var/type/func lines, methods and constructors included).
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; done | \
+	awk '{print} {all += $$1} $$2 !~ /\/benchmark$$/ {prog += $$1} \
+		END {printf "%7d total\n%7d total outside benchmark/\n", all, prog}'
+	@printf '%7d exported odfork declarations\n' "$$($(GO) doc -all ./odfork | grep -cE '^(func|type|var|const) ')"
 
 # The second leg reruns the allocator and fork-engine packages at one,
 # two and four procs: the shard count, the shard a call lands in and the

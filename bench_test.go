@@ -173,35 +173,32 @@ func BenchmarkFig2Concurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkForkParallel sweeps the parallel fork engine: worker counts
-// 1–8 across 128 MiB–1 GiB, for both engines. The 1-worker rows are
-// the sequential baseline (ForkOptions.Parallelism=1 follows exactly
-// the sequential code path); speedup at 4 workers on a ≥ 1 GiB classic
-// fork is the headline number on a multi-core runner.
+// BenchmarkForkParallel sweeps the parallel classic fork engine:
+// worker counts 1–8 across 128 MiB–1 GiB. The 1-worker rows are the
+// sequential baseline; speedup at 4 workers on a ≥ 1 GiB fork is the
+// headline number on a multi-core runner. On-demand fork ignores
+// Parallelism, so it has no rows here.
 func BenchmarkForkParallel(b *testing.B) {
 	b.ReportAllocs()
-	for _, mode := range []core.ForkMode{core.ForkClassic, core.ForkOnDemand} {
-		for _, mb := range []uint64{128, 256, 512, 1024} {
-			for _, workers := range []int{1, 2, 4, 8} {
-				b.Run(fmt.Sprintf("%s/%dMB/workers=%d", mode, mb, workers), func(b *testing.B) {
-					b.ReportAllocs()
-					k := kernel.New()
-					p := forkParent(b, k, mb*benchMiB, popFlags)
-					defer p.Exit()
-					opts := core.ForkOptions{Parallelism: workers}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						c, err := p.Fork(kernel.WithMode(mode), kernel.WithForkOptions(opts))
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.StopTimer()
-						c.Exit()
-						c.Wait()
-						b.StartTimer()
+	for _, mb := range []uint64{128, 256, 512, 1024} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%dMB/workers=%d", mb, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				k := kernel.New()
+				p := forkParent(b, k, mb*benchMiB, popFlags)
+				defer p.Exit()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c, err := p.Fork(kernel.WithMode(core.ForkClassic), kernel.WithWorkers(workers))
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					b.StopTimer()
+					c.Exit()
+					c.Wait()
+					b.StartTimer()
+				}
+			})
 		}
 	}
 }

@@ -118,8 +118,11 @@ func main() {
 		broot = spawn(sys, rng, tenantB)
 	}
 
-	// Warm the parallel-fork pool before the goroutine baseline.
-	warm, err := root.p.Fork(odfork.WithMode(odfork.OnDemand), odfork.WithWorkers(4))
+	// The fork worker pool starts on the first classic fork that fans
+	// out and stays. Run the schedule's classic+workers fork once before
+	// the goroutine baseline, so a pool it starts is not counted as a
+	// leak.
+	warm, err := root.p.Fork(odfork.WithMode(odfork.Classic), odfork.WithWorkers(4))
 	if err != nil {
 		fail("warmup fork: %v", err)
 	}
@@ -170,7 +173,7 @@ func main() {
 			case 0:
 				opts[0] = odfork.WithMode(odfork.Classic)
 			case 1:
-				opts = append(opts, odfork.WithWorkers(4))
+				opts = []odfork.ForkOpt{odfork.WithMode(odfork.Classic), odfork.WithWorkers(4)}
 			case 2:
 				opts = append(opts, odfork.WithForkOptions(odfork.ForkOptions{ShareHugePMD: true}))
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/failpoint"
@@ -61,27 +62,17 @@ type ForkOptions struct {
 	// sharing one level up.
 	ShareHugePMD bool
 	// Parallelism is the number of workers that copy the paging
-	// hierarchy. When greater than one, present PMD-slot ranges are
-	// fanned out to a bounded, reusable worker pool; each worker writes
-	// only its own destination subtree, so no two workers touch the
-	// same table. The zero value and 1 both select the sequential
-	// engine — the paper's single-threaded copy — so existing callers
-	// see identical behaviour. Values above the pool size are clamped
-	// to GOMAXPROCS; negative values panic (see ForkWithOptions).
+	// hierarchy of a classic fork. When greater than one and the parent
+	// maps at least 128 MiB, PMD-slot ranges are fanned out to a
+	// bounded, reusable worker pool; each worker writes only its own
+	// destination slot range, so no two workers touch the same table.
+	// The zero value and 1 both select the sequential engine — the
+	// paper's single-threaded copy. Values above GOMAXPROCS+1 are
+	// clamped; negative values panic (see ForkWithOptions). On-demand
+	// fork ignores it: its per-table work is one share-count bump, and
+	// fanning that out measured slower than doing it in line.
 	Parallelism int
-	// ParallelThreshold is the minimum number of present PMD slots
-	// (2 MiB regions) the parent must map before a Parallelism > 1 fork
-	// actually fans out; smaller address spaces run sequentially so
-	// they don't pay goroutine handoff for microseconds of work.
-	// 0 selects DefaultParallelThreshold; negative disables the
-	// threshold (always fan out).
-	ParallelThreshold int
 }
-
-// DefaultParallelThreshold is the present-PMD-slot count (2 MiB regions
-// — 64 slots = 128 MiB of mapped memory) below which a parallel fork
-// falls back to the sequential engine.
-const DefaultParallelThreshold = 64
 
 // Validate panics when the options are malformed (negative
 // Parallelism). Layers that take locks before entering the fork
@@ -93,34 +84,21 @@ func (o ForkOptions) Validate() {
 		panic(fmt.Sprintf(
 			"core: ForkOptions.Parallelism must be non-negative, got %d "+
 				"(0 selects the sequential default, 1 forces sequential, "+
-				"N>1 fans fork out over up to N workers)", o.Parallelism))
+				"N>1 fans a classic fork out over up to N workers)", o.Parallelism))
 	}
 }
 
 // workers validates Parallelism and returns the effective worker
 // count. It is the single read point for the knob: negative values
-// panic with a descriptive error, oversized values are clamped to the
-// pool size (GOMAXPROCS), and 0 means sequential.
+// panic with a descriptive error, oversized values are clamped to
+// GOMAXPROCS+1 (the pool's GOMAXPROCS workers plus the caller), and 0
+// means sequential.
 func (o ForkOptions) workers() int {
 	o.Validate()
-	w := o.Parallelism
-	if maxw := forkPoolSize() + 1; w > maxw {
-		// The caller participates too, so pool size + 1 workers can run.
-		w = maxw
+	if o.Parallelism > 1 {
+		return min(o.Parallelism, runtime.GOMAXPROCS(0)+1)
 	}
-	return w
-}
-
-// threshold returns the effective sequential-fallback threshold in
-// present PMD slots.
-func (o ForkOptions) threshold() int {
-	if o.ParallelThreshold == 0 {
-		return DefaultParallelThreshold
-	}
-	if o.ParallelThreshold < 0 {
-		return 0
-	}
-	return o.ParallelThreshold
+	return o.Parallelism
 }
 
 // Fork creates a child address space from parent using the given mode.
@@ -208,30 +186,11 @@ func ForkWithOptions(parent *AddressSpace, mode ForkMode, opts ForkOptions) (*Ad
 			walkStart = time.Now()
 		}
 		nTasks := 0
-		fanOut := workers > 1 && parent.presentPMDSlots() >= opts.threshold()
 		switch mode {
 		case ForkClassic:
-			if fanOut {
-				run := getForkRun(parent, child, mode, opts)
-				run.tasks = parent.collectClassicTasks(parent.w.Root, child.w.Root, child, run.tasks)
-				noteFanOut(m, len(run.tasks))
-				nTasks = len(run.tasks)
-				run.execute(workers)
-				run.release()
-			} else {
-				parent.copyTreeClassic(parent.w.Root, child.w.Root, child)
-			}
+			nTasks = parent.forkClassic(child, workers)
 		case ForkOnDemand:
-			if fanOut {
-				run := getForkRun(parent, child, mode, opts)
-				run.tasks = parent.collectOnDemandTasks(parent.w.Root, child.w.Root, child, opts, run.tasks)
-				noteFanOut(m, len(run.tasks))
-				nTasks = len(run.tasks)
-				run.execute(workers)
-				run.release()
-			} else {
-				parent.copyTreeOnDemand(parent.w.Root, child.w.Root, child, opts)
-			}
+			parent.copyTreeOnDemand(parent.w.Root, child.w.Root, child, opts)
 		default:
 			panic("core: unknown fork mode")
 		}
@@ -288,14 +247,6 @@ func (parent *AddressSpace) abortFork(child *AddressSpace, mode ForkMode) {
 	}
 }
 
-// noteFanOut records one parallel fork and its task count.
-func noteFanOut(m *metrics.Registry, nTasks int) {
-	if m.Enabled() {
-		m.Fork.ParallelForks.Inc()
-		m.Fork.ParallelTasks.Add(uint64(nTasks))
-	}
-}
-
 // failFork panics with an injected OOM when the named fork-stage
 // failpoint fires. Sites sit strictly at slot boundaries — before the
 // slot's table allocation, never between taking references and
@@ -308,33 +259,9 @@ func (as *AddressSpace) failInject(fp *failpoint.Registry, name string) {
 	}
 }
 
-// copyTreeClassic duplicates the paging hierarchy the way Linux's
-// copy_page_range does: fresh tables at every level, and for every
-// present last-level entry a compound-head resolution, an atomic page
-// reference increment, and a COW downgrade in both parent and child.
-// This per-page work is the Figure 3 hot path.
-func (as *AddressSpace) copyTreeClassic(src, dst *pagetable.Table, child *AddressSpace) {
-	if src.Level == addr.PMD {
-		as.copyPMDRangeClassic(src, dst, 0, addr.EntriesPerTable, child, trace.ActorApp)
-		return
-	}
-	fp := as.alloc.Failpoints()
-	for i := 0; i < addr.EntriesPerTable; i++ {
-		childTable := src.Child(i)
-		if childTable == nil {
-			continue
-		}
-		as.prof.Charge(profile.UpperWalk, 1)
-		as.failInject(fp, failpoint.ForkWalk)
-		newTable := pagetable.NewTableFor(as.alloc, childTable.Level, child.charger)
-		dst.SetChild(i, newTable, src.Entry(i))
-		as.copyTreeClassic(childTable, newTable, child)
-	}
-}
-
 // copyPMDRangeClassic copies the PMD slots [lo, hi) from src to dst —
-// the unit of work one parallel-fork task performs (actor names the
-// worker running it). Each leaf goes through copyLeafLocked, the same
+// the unit of work one classic-fork task performs (actor names the
+// goroutine running it). Each leaf goes through copyLeafLocked, the same
 // whole-table copy a table split performs, which batches the per-page
 // refcount traffic through GetBatch — per-frame semantics, one profiler
 // charge per batch. The destination table's tallies, the tables-copied
@@ -419,7 +346,7 @@ func (as *AddressSpace) copyHugeEntry(src, dst *pagetable.Table, i int, e pageta
 // 512 page reference increments.
 func (as *AddressSpace) copyTreeOnDemand(src, dst *pagetable.Table, child *AddressSpace, opts ForkOptions) {
 	if src.Level == addr.PMD {
-		as.copyPMDRangeOnDemand(src, dst, 0, addr.EntriesPerTable, child, opts, trace.ActorApp)
+		as.sharePMDLeaves(src, dst, child, opts)
 		return
 	}
 	fp := as.alloc.Failpoints()
@@ -440,20 +367,19 @@ func (as *AddressSpace) copyTreeOnDemand(src, dst *pagetable.Table, child *Addre
 	}
 }
 
-// copyPMDRangeOnDemand shares the last-level tables of PMD slots
-// [lo, hi) with the child — the unit of work one parallel-fork task
-// performs on the on-demand path (actor names the worker running it).
-// Like the classic range, it batches the child table's tallies, the
-// tables-shared metric, and the upper-walk profile charge per range;
-// the deferred flush keeps dst consistent across a mid-range abort.
-func (as *AddressSpace) copyPMDRangeOnDemand(src, dst *pagetable.Table, lo, hi int, child *AddressSpace, opts ForkOptions, actor int32) {
+// sharePMDLeaves shares the last-level tables of one PMD table with the
+// child. Like the classic range copy, it batches the child table's
+// tallies, the tables-shared metric, and the upper-walk profile charge
+// per table; the deferred flush keeps dst consistent across a
+// mid-table abort.
+func (as *AddressSpace) sharePMDLeaves(src, dst *pagetable.Table, child *AddressSpace, opts ForkOptions) {
 	var rangeStart time.Time
 	var req uint64
 	if as.trc.Enabled() {
 		rangeStart = time.Now()
 		req = as.curReq.Load()
 	}
-	defer as.trc.SpanReq(trace.KindForkStage, trace.StageShare, actor, rangeStart, uint64(lo), uint64(hi), req)
+	defer as.trc.SpanReq(trace.KindForkStage, trace.StageShare, trace.ActorApp, rangeStart, 0, addr.EntriesPerTable, req)
 	fp := as.alloc.Failpoints()
 	var d pagetable.TallyDelta
 	var nShared, walked uint64
@@ -466,7 +392,7 @@ func (as *AddressSpace) copyPMDRangeOnDemand(src, dst *pagetable.Table, lo, hi i
 			as.met.Fork.TablesShared.Add(nShared)
 		}
 	}()
-	for i := lo; i < hi; i++ {
+	for i := 0; i < addr.EntriesPerTable; i++ {
 		e := src.Entry(i)
 		if !e.Present() {
 			continue

@@ -117,11 +117,11 @@ func TestForkAbortClassicRefcount(t *testing.T) {
 	forkAbortFailpoint(t, ForkClassic, failpoint.ForkRefcount, ForkOptions{})
 }
 
-func TestForkAbortParallelOnDemand(t *testing.T) {
-	forkAbortFailpoint(t, ForkOnDemand, failpoint.ForkWalk, ForkOptions{Parallelism: 4})
-}
-
+// TestForkAbortParallelClassic fails one task of a fanned-out classic
+// fork: the pool's first-panic slot carries the failure back to the
+// forking goroutine, which rolls the child back after the join.
 func TestForkAbortParallelClassic(t *testing.T) {
+	forceFanOut(t)
 	forkAbortFailpoint(t, ForkClassic, failpoint.ForkRefcount, ForkOptions{Parallelism: 4})
 }
 

@@ -1,10 +1,11 @@
 package core
 
 // Zero-allocation assertions for the two hot paths the paper's latency
-// claims rest on: the on-demand fork itself and the write-fault fast
-// path. Both run through the pooled allocation paths (space pool,
-// table pool, fork-run pool), so once the pools are warm a
-// fork/recycle cycle and a fault must not touch the Go heap — any
+// claims rest on — the on-demand fork itself and the write-fault fast
+// path — and for the classic fork beside them. All run through the
+// pooled allocation paths (space pool, table pool, and for classic
+// fork the fork-run pool), so once the pools are warm a fork/recycle
+// cycle and a fault must not touch the Go heap — any
 // regression here shows up as GC pressure and tail latency in the
 // fork-per-request workloads.
 
@@ -66,6 +67,33 @@ func TestForkOnDemandZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Errorf("on-demand fork+recycle allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestForkClassicZeroAlloc asserts that a warm sequential classic
+// fork+recycle cycle — task collection into the pooled fork run, the
+// per-table range copies, and the child's teardown — performs zero
+// heap allocations.
+func TestForkClassicZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations and drops pool items")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	parent, _ := zeroAllocParent(t)
+	defer parent.Teardown()
+
+	cycle := func() {
+		child, err := ForkWithOptions(parent, ForkClassic, ForkOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		child.Recycle()
+	}
+	for i := 0; i < 5; i++ {
+		cycle() // warm the space/table/fork-run pools
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("classic fork+recycle allocated %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -48,11 +48,15 @@ func RunTrace(maxBytes uint64, reps int) (trace.Snapshot, string, error) {
 		}
 	}
 
-	// Phase 1: both engines, sequential and fanned out, children
-	// exercising the fault ladder (table copy, then page copies).
+	// Phase 1: both engines — classic with workers, on-demand
+	// sequential — children exercising the fault ladder (table copy,
+	// then page copies).
 	for rep := 0; rep < reps; rep++ {
-		for _, mode := range []core.ForkMode{core.ForkClassic, core.ForkOnDemand} {
-			c, err := p.Fork(kernel.WithMode(mode), kernel.WithWorkers(4))
+		for _, opts := range [][]kernel.ForkOpt{
+			{kernel.WithMode(core.ForkClassic), kernel.WithWorkers(4)},
+			{kernel.WithMode(core.ForkOnDemand)},
+		} {
+			c, err := p.Fork(opts...)
 			if err != nil {
 				return trace.Snapshot{}, "", err
 			}

@@ -307,15 +307,16 @@ func WithMode(mode core.ForkMode) ForkOpt {
 	}
 }
 
-// WithWorkers fans the fork's tree copy out over up to n workers
+// WithWorkers fans a classic fork's tree copy out over up to n workers
 // (core.ForkOptions.Parallelism). 0 and 1 select the sequential
-// engine; negative values panic by contract when the fork runs.
+// engine, and on-demand fork ignores it; negative values panic by
+// contract when the fork runs.
 func WithWorkers(n int) ForkOpt {
 	return func(c *forkCfg) { c.opts.Parallelism = n }
 }
 
-// WithForkOptions replaces the full core.ForkOptions — ablation knobs
-// and parallelism thresholds beyond what WithWorkers covers.
+// WithForkOptions replaces the full core.ForkOptions — the ablation
+// and huge-page knobs beyond what WithWorkers covers.
 func WithForkOptions(opts core.ForkOptions) ForkOpt {
 	return func(c *forkCfg) { c.opts = opts }
 }
@@ -323,8 +324,7 @@ func WithForkOptions(opts core.ForkOptions) ForkOpt {
 // Fork duplicates the process. With no options it uses the engine
 // configured for the process (classic by default; on-demand-fork if
 // procfs says so); functional options select the engine and tune the
-// copy explicitly. This is the single fork entry point of the v1 API —
-// ForkWith and ForkWithOptions remain as deprecated wrappers.
+// copy explicitly. This is the single fork entry point of the v1 API.
 func (p *Process) Fork(opts ...ForkOpt) (*Process, error) {
 	var cfg forkCfg
 	for _, o := range opts {
@@ -335,20 +335,6 @@ func (p *Process) Fork(opts ...ForkOpt) (*Process, error) {
 		mode = p.k.forkModeFor(p.pid)
 	}
 	return p.forkInternal(mode, cfg.opts)
-}
-
-// ForkWith duplicates the process with an explicit engine.
-//
-// Deprecated: use Fork(WithMode(mode)).
-func (p *Process) ForkWith(mode core.ForkMode) (*Process, error) {
-	return p.forkInternal(mode, core.ForkOptions{})
-}
-
-// ForkWithOptions exposes the ablation knobs.
-//
-// Deprecated: use Fork(WithMode(mode), WithForkOptions(opts)).
-func (p *Process) ForkWithOptions(mode core.ForkMode, opts core.ForkOptions) (*Process, error) {
-	return p.forkInternal(mode, opts)
 }
 
 func (p *Process) forkInternal(mode core.ForkMode, opts core.ForkOptions) (*Process, error) {

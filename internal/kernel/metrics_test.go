@@ -17,9 +17,9 @@ const (
 	testFlags = vm.MapPrivate | vm.MapPopulate
 )
 
-// TestForkAPIEquivalence proves the deprecated fork entry points stay
-// behaviourally identical to the functional-option form: same engine
-// charged, same page-table sharing, same copy-on-write semantics.
+// TestForkAPIEquivalence proves the functional options compose: naming
+// the engine alone and adding an empty WithForkOptions charge the same
+// engine, share the same page tables, and keep copy-on-write semantics.
 func TestForkAPIEquivalence(t *testing.T) {
 	paths := []struct {
 		name string
@@ -28,13 +28,8 @@ func TestForkAPIEquivalence(t *testing.T) {
 		{"Fork+WithMode", func(p *Process) (*Process, error) {
 			return p.Fork(WithMode(core.ForkOnDemand))
 		}},
-		{"ForkWith", func(p *Process) (*Process, error) {
-			//lint:ignore SA1019 the deprecated wrapper must stay equivalent
-			return p.ForkWith(core.ForkOnDemand)
-		}},
-		{"ForkWithOptions", func(p *Process) (*Process, error) {
-			//lint:ignore SA1019 the deprecated wrapper must stay equivalent
-			return p.ForkWithOptions(core.ForkOnDemand, core.ForkOptions{})
+		{"Fork+WithForkOptions", func(p *Process) (*Process, error) {
+			return p.Fork(WithMode(core.ForkOnDemand), WithForkOptions(core.ForkOptions{}))
 		}},
 	}
 	type observed struct {
@@ -100,13 +95,14 @@ func TestForkAPIEquivalence(t *testing.T) {
 }
 
 // TestForkWorkersEquivalence proves WithWorkers(n) is the same knob as
-// the deprecated ForkWithOptions(mode, ForkOptions{Parallelism: n}).
+// WithForkOptions(ForkOptions{Parallelism: n}), on a classic fork big
+// enough (128 MiB) to fan out.
 func TestForkWorkersEquivalence(t *testing.T) {
 	run := func(fork func(p *Process) (*Process, error)) (parallelForks, parallelTasks uint64) {
 		k := New()
 		p := k.NewProcess()
 		defer p.Exit()
-		if _, err := p.Mmap(64*testMiB, testProt, testFlags); err != nil {
+		if _, err := p.Mmap(128*testMiB, testProt, testFlags); err != nil {
 			t.Fatal(err)
 		}
 		before := k.MetricsSnapshot()
@@ -119,16 +115,15 @@ func TestForkWorkersEquivalence(t *testing.T) {
 		d := k.MetricsSnapshot().Sub(before)
 		return d.Fork.ParallelForks, d.Fork.ParallelTasks
 	}
-	optForks, optTasks := run(func(p *Process) (*Process, error) {
-		return p.Fork(WithMode(core.ForkOnDemand), WithWorkers(4))
+	wForks, wTasks := run(func(p *Process) (*Process, error) {
+		return p.Fork(WithMode(core.ForkClassic), WithWorkers(4))
 	})
-	depForks, depTasks := run(func(p *Process) (*Process, error) {
-		//lint:ignore SA1019 the deprecated wrapper must stay equivalent
-		return p.ForkWithOptions(core.ForkOnDemand, core.ForkOptions{Parallelism: 4})
+	oForks, oTasks := run(func(p *Process) (*Process, error) {
+		return p.Fork(WithMode(core.ForkClassic), WithForkOptions(core.ForkOptions{Parallelism: 4}))
 	})
-	if optForks != depForks || optTasks != depTasks {
-		t.Errorf("WithWorkers charged forks=%d tasks=%d; ForkWithOptions charged forks=%d tasks=%d",
-			optForks, optTasks, depForks, depTasks)
+	if wForks != 1 || wForks != oForks || wTasks != oTasks {
+		t.Errorf("WithWorkers charged forks=%d tasks=%d; WithForkOptions charged forks=%d tasks=%d; want one fan-out each",
+			wForks, wTasks, oForks, oTasks)
 	}
 }
 

@@ -65,8 +65,6 @@ type SnapshotterOpt func(*snapCfg)
 type snapCfg struct {
 	mode     core.ForkMode
 	haveMode bool
-	forkOpts core.ForkOptions
-	haveFork bool
 	child    func(*Process) error
 	notify   func(SnapshotStats)
 }
@@ -78,15 +76,6 @@ func WithSnapshotMode(m core.ForkMode) SnapshotterOpt {
 	return func(c *snapCfg) {
 		c.mode = m
 		c.haveMode = true
-	}
-}
-
-// WithSnapshotWorkers fans each snapshot fork's page-table copy out
-// over up to n workers (see WithWorkers).
-func WithSnapshotWorkers(n int) SnapshotterOpt {
-	return func(c *snapCfg) {
-		c.forkOpts.Parallelism = n
-		c.haveFork = true
 	}
 }
 
@@ -205,14 +194,10 @@ func (s *Snapshotter) snapshot(sync bool, fn func(*Process) error) (SnapshotStat
 	if !s.cfg.haveMode {
 		mode = s.p.k.forkModeFor(s.p.pid)
 	}
-	forkOpts := []ForkOpt{WithMode(mode)}
-	if s.cfg.haveFork {
-		forkOpts = append(forkOpts, WithForkOptions(s.cfg.forkOpts))
-	}
 
 	s.epoch.Add(1) // odd: fork in flight
 	start := time.Now()
-	child, err := s.p.Fork(forkOpts...)
+	child, err := s.p.Fork(WithMode(mode))
 	lat := time.Since(start)
 	s.epoch.Add(1) // even again
 	if err != nil {

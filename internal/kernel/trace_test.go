@@ -119,7 +119,7 @@ func TestKernelTraceLifecycle(t *testing.T) {
 	if err := p.StoreByte(base, 1); err != nil {
 		t.Fatal(err)
 	}
-	c, err := p.Fork(WithMode(core.ForkOnDemand), WithWorkers(2))
+	c, err := p.Fork(WithMode(core.ForkOnDemand))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +214,12 @@ func TestTraceDuringSwapPressure(t *testing.T) {
 			// this short workload finishes, so each lineage also evicts
 			// a batch of its (and its peers') cold pages in-line.
 			k.Reclaim().ReclaimFrames(32)
-			mode := core.ForkOnDemand
+			opts := []ForkOpt{WithMode(core.ForkOnDemand)}
 			if seed%2 == 1 {
-				mode = core.ForkClassic
+				opts = []ForkOpt{WithMode(core.ForkClassic), WithWorkers(2)}
 			}
 			for rep := 0; rep < 4; rep++ {
-				c, err := root.Fork(WithMode(mode), WithWorkers(2))
+				c, err := root.Fork(opts...)
 				if err != nil {
 					t.Errorf("fork: %v", err)
 					return

@@ -133,7 +133,7 @@ type ForkOptions = core.ForkOptions
 // ForkOpt is a functional option for Process.Fork, the v1 fork entry
 // point:
 //
-//	child, err := p.Fork(odfork.WithMode(odfork.OnDemand),
+//	child, err := p.Fork(odfork.WithMode(odfork.Classic),
 //	    odfork.WithWorkers(4))
 type ForkOpt = kernel.ForkOpt
 
@@ -142,12 +142,12 @@ type ForkOpt = kernel.ForkOpt
 // (System.SetForkMode), falling back to the system default.
 func WithMode(m Mode) ForkOpt { return kernel.WithMode(m) }
 
-// WithWorkers fans the fork's page-table copy out over up to n
-// workers. 0 and 1 mean sequential.
+// WithWorkers fans a classic fork's page-table copy out over up to n
+// workers. 0 and 1 mean sequential; on-demand fork ignores it.
 func WithWorkers(n int) ForkOpt { return kernel.WithWorkers(n) }
 
 // WithForkOptions applies a full ForkOptions (ablation knobs,
-// parallelism thresholds). Later options override its fields.
+// huge-page sharing, parallelism). Later options override its fields.
 func WithForkOptions(o ForkOptions) ForkOpt { return kernel.WithForkOptions(o) }
 
 // Snapshotter is the typed snapshot-serving API: it forks a process
@@ -182,9 +182,6 @@ var ErrSnapshotterStopped = kernel.ErrSnapshotterStopped
 // snapshots resolve the engine like a plain Fork call (SetForkMode,
 // then the system default).
 func WithSnapshotMode(m Mode) SnapshotterOpt { return kernel.WithSnapshotMode(m) }
-
-// WithSnapshotWorkers fans each snapshot fork out over up to n workers.
-func WithSnapshotWorkers(n int) SnapshotterOpt { return kernel.WithSnapshotWorkers(n) }
 
 // WithSnapshotChild installs the child-side work run after each
 // snapshot fork (serialization, verification); the child exits when fn
@@ -447,11 +444,3 @@ func (s *System) LiveProcesses() int { return s.k.NumProcesses() }
 // (data pages and page tables) — useful for leak checking and for
 // observing the memory the fork engines save.
 func (s *System) AllocatedFrames() int64 { return s.k.Allocator().Allocated() }
-
-// Kernel exposes the underlying kernel.
-//
-// Deprecated: the escape hatch leaks the internal kernel surface.
-// Use the purpose-built accessors instead: Metrics for telemetry,
-// Procfs for procfs-style reads, Profiler, LiveProcesses,
-// AllocatedFrames, and SetFrameLimit for the remaining kernel state.
-func (s *System) Kernel() *kernel.Kernel { return s.k }
