@@ -38,11 +38,12 @@ test:
 # The concurrency-sensitive packages: the parallel fork engine, the
 # sharded allocator, the lock-free flight recorder, the socket serving
 # tier (concurrent clients + snapshotter forks + reclaim), everything
-# between them, and the repository benchmark's smoke runs, which drive
-# all of it at once (a parent's COW faults against a snapshot child's
-# exit is how the Put/release charger race was found).
+# between them, the public odfork facade, and the repository
+# benchmark's smoke runs, which drive all of it at once (a parent's COW
+# faults against a snapshot child's exit is how the Put/release charger
+# race was found).
 race:
-	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/trace/... ./internal/apps/serve/... ./internal/slo/... ./internal/tenant/... ./internal/kernel/... ./benchmark
+	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/trace/... ./internal/apps/serve/... ./internal/slo/... ./internal/tenant/... ./internal/kernel/... ./odfork ./benchmark
 
 # Fixed iteration count: several benchmarks do expensive unmeasured
 # setup per iteration (see bench_test.go).

@@ -46,10 +46,12 @@ var (
 // writes constantly hit COW; swap.corrupt stays out (a corrupted
 // payload is genuinely lost data, exercised by unit tests instead).
 const defaultPoints = "phys.alloc,phys.shard-refill,swap.read,swap.write,swap.free," +
-	"fork.walk,fork.share,fork.refcount,fault.table-copy,fault.page-copy"
+	"fork.walk,fork.share,fork.refcount,fault.table-copy,fault.pmd-split,fault.page-copy"
 
 // Two private regions per process: a base-page arena and a huge-page
-// arena, so PMD splits and huge copies participate.
+// arena, so PMD splits and huge copies participate. The huge arena sits
+// in a 1 GiB region of its own, so its PMD table maps huge pages only
+// and a ShareHugePMD fork shares it whole.
 const (
 	baseBytes = 512 * odfork.KiB
 	hugeBytes = odfork.HugePageSize
@@ -337,8 +339,9 @@ func spawn(sys *odfork.System, rng *rand.Rand, tn *odfork.Tenant) *proc {
 	if err != nil {
 		fail("mmap base arena: %v", err)
 	}
-	huge, err := p.Mmap(hugeBytes, odfork.ProtRead|odfork.ProtWrite,
-		odfork.MapPrivate|odfork.MapHuge)
+	hint := base&^(addr.PMDCoverage-1) + addr.PMDCoverage
+	huge, err := p.Space().Mmap(hint, hugeBytes, odfork.ProtRead|odfork.ProtWrite,
+		odfork.MapPrivate|odfork.MapHuge, nil, 0)
 	if err != nil {
 		fail("mmap huge arena: %v", err)
 	}

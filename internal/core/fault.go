@@ -173,7 +173,7 @@ func classifyResolution(before, after faultCounters, seg bool) trace.Stage {
 // resolveFaultLocked implements the fault flow of §3.4: demand paging
 // for absent pages, PMD-level share detection, shared-table
 // copy-on-write, the last-sharer fast path, and data-page COW.
-func (as *AddressSpace) resolveFaultLocked(v addr.V, write bool) error {
+func (as *AddressSpace) resolveFaultLocked(v addr.V, write bool) (err error) {
 	as.prof.Charge(profile.FaultEntry, 1)
 	as.Faults.Add(1)
 
@@ -201,16 +201,10 @@ func (as *AddressSpace) resolveFaultLocked(v addr.V, write bool) error {
 	// Huge-page extension (§4): a cleared PUD writable bit marks a
 	// shared PMD table; copy it for this process first.
 	if pud := tr.PUDTable; pud != nil && !pud.Entry(tr.PUDIndex).Writable() {
-		as.splitSharedPMDLocked(pud, tr.PUDIndex, pud.Child(tr.PUDIndex))
-		tr2, ok2 := as.w.Walk(v)
-		if !ok2 {
-			return as.demandPageLocked(vma, v)
+		var done bool
+		if tr, done, err = as.unshareForWriteLocked(vma, v, pud, tr.PUDIndex); done {
+			return err
 		}
-		if tr2.Writable {
-			tr2.Leaf.OrEntry(tr2.LeafIndex, pagetable.FlagAccessed|pagetable.FlagDirty)
-			return nil
-		}
-		tr = tr2
 	}
 
 	if tr.Huge {
@@ -221,27 +215,35 @@ func (as *AddressSpace) resolveFaultLocked(v addr.V, write bool) error {
 
 	// A cleared PMD writable bit marks the on-demand-fork write
 	// protection: the PTE table below is (or recently was) shared.
-	pmd, pi := tr.PMDTable, tr.PMDIndex
-	if !pmd.Entry(pi).Writable() {
-		leaf := pmd.Child(pi)
-		as.splitSharedLeafLocked(pmd, pi, leaf, v.HugeBase())
-		// Re-walk: if the entry was never individually write-protected
-		// (the common post-ODF case for pages private to this lineage),
-		// the write can now proceed without copying any data.
-		tr2, ok2 := as.w.Walk(v)
-		if !ok2 {
-			return as.demandPageLocked(vma, v)
+	if pmd := tr.PMDTable; !pmd.Entry(tr.PMDIndex).Writable() {
+		var done bool
+		if tr, done, err = as.unshareForWriteLocked(vma, v, pmd, tr.PMDIndex); done {
+			return err
 		}
-		if tr2.Writable {
-			tr2.Leaf.OrEntry(tr2.LeafIndex, pagetable.FlagAccessed|pagetable.FlagDirty)
-			return nil
-		}
-		tr = tr2
 	}
 
 	as.pageCOWLocked(tr)
 	as.tlb.FlushPage(v)
 	return nil
+}
+
+// unshareForWriteLocked splits the shared table in slot of parent for a
+// write at v and re-walks. If the entry was never individually
+// write-protected (the common post-ODF case for pages private to this
+// lineage), the write proceeds without copying any data; done reports
+// that the fault is resolved (with err), else tr is the translation
+// still needing a data-page COW.
+func (as *AddressSpace) unshareForWriteLocked(vma *vm.VMA, v addr.V, parent *pagetable.Table, slot int) (tr pagetable.Translation, done bool, err error) {
+	as.splitSharedTableLocked(parent, slot, parent.Child(slot))
+	tr, ok := as.w.Walk(v)
+	if !ok {
+		return tr, true, as.demandPageLocked(vma, v)
+	}
+	if tr.Writable {
+		tr.Leaf.OrEntry(tr.LeafIndex, pagetable.FlagAccessed|pagetable.FlagDirty)
+		return tr, true, nil
+	}
+	return tr, false, nil
 }
 
 // The note* helpers mirror the per-space statistic atomics into the
@@ -401,14 +403,7 @@ func (as *AddressSpace) trySwapInLocked(v addr.V) (handled bool, err error) {
 // a shared table if needed) and reachable with PMD write permission.
 func (as *AddressSpace) ensurePrivateLeafLocked(v addr.V) (*pagetable.Table, int) {
 	pmd, pi := as.ensurePrivatePMDLocked(v)
-	leaf := pmd.Child(pi)
-	if leaf == nil {
-		leaf = pagetable.NewTableFor(as.alloc, addr.PTE, as.charger)
-		pmd.SetChild(pi, leaf, pagetable.FlagWritable|pagetable.FlagUser)
-		return leaf, v.Index(addr.PTE)
-	}
-	leaf = as.splitSharedLeafLocked(pmd, pi, leaf, v.HugeBase())
-	return leaf, v.Index(addr.PTE)
+	return as.privateChildLocked(pmd, pi, addr.PTE), v.Index(addr.PTE)
 }
 
 // ensurePrivatePMDLocked returns the PMD table and index for v,
@@ -418,114 +413,36 @@ func (as *AddressSpace) ensurePrivateLeafLocked(v addr.V) (*pagetable.Table, int
 // mappings into every sharer.
 func (as *AddressSpace) ensurePrivatePMDLocked(v addr.V) (*pagetable.Table, int) {
 	pud, pi := as.w.EnsurePUD(v)
-	pmd := pud.Child(pi)
-	if pmd == nil {
-		pmd = pagetable.NewTableFor(as.alloc, addr.PMD, as.charger)
-		pud.SetChild(pi, pmd, pagetable.FlagWritable|pagetable.FlagUser)
-		return pmd, v.Index(addr.PMD)
-	}
-	pmd = as.splitSharedPMDLocked(pud, pi, pmd)
-	return pmd, v.Index(addr.PMD)
+	return as.privateChildLocked(pud, pi, addr.PMD), v.Index(addr.PMD)
 }
 
-// splitSharedPMDLocked is the huge-page analogue of
-// splitSharedLeafLocked: copy a shared PMD table for this process,
-// COW-protecting its huge entries in both copies (one page reference
-// per entry for the new table) and re-sharing any nested last-level
-// tables. If this process is the last sharer, the table is
-// re-dedicated by restoring the PUD writable bit.
-func (as *AddressSpace) splitSharedPMDLocked(pud *pagetable.Table, pi int, old *pagetable.Table) *pagetable.Table {
-	if old.ShareCount(as.alloc) == 1 {
-		old.Lock()
-		last := old.ShareCount(as.alloc) == 1
-		old.Unlock()
-		if last {
-			if !pud.Entry(pi).Writable() {
-				pud.SetEntry(pi, pud.Entry(pi).With(pagetable.FlagWritable))
-				as.noteFastDedup()
-			}
-			return old
-		}
+// privateChildLocked returns the table of the given level in slot of
+// parent, allocating it when absent and splitting it when shared.
+func (as *AddressSpace) privateChildLocked(parent *pagetable.Table, slot int, level addr.Level) *pagetable.Table {
+	t := parent.Child(slot)
+	if t == nil {
+		t = pagetable.NewTableFor(as.alloc, level, as.charger)
+		parent.SetChild(slot, t, pagetable.FlagWritable|pagetable.FlagUser)
+		return t
 	}
-
-	// Pre-allocate so an OOM unwind cannot strand the shared table's
-	// lock (see splitSharedLeafLocked). The failpoint models that
-	// allocation failing: nothing has been mutated yet, so the shared
-	// PMD table and the huge mappings beneath it stay intact.
-	as.failInject(as.alloc.Failpoints(), failpoint.FaultPMDSplit)
-	newPMD := pagetable.NewTableFor(as.alloc, addr.PMD, as.charger)
-	old.Lock()
-	if old.ShareCount(as.alloc) == 1 {
-		old.Unlock()
-		as.alloc.Put(newPMD.Frame)
-		newPMD.Recycle()
-		if !pud.Entry(pi).Writable() {
-			pud.SetEntry(pi, pud.Entry(pi).With(pagetable.FlagWritable))
-			as.noteFastDedup()
-		}
-		return old
-	}
-
-	as.notePMDSplit()
-	as.prof.Charge(profile.PTCopy, 1)
-	for i := 0; i < addr.EntriesPerTable; i++ {
-		e := old.Entry(i)
-		if !e.Present() {
-			continue
-		}
-		if e.Huge() {
-			if e.Writable() {
-				e = e.Without(pagetable.FlagWritable | pagetable.FlagDirty).
-					With(pagetable.FlagCOW)
-				old.SetEntry(i, e)
-			}
-			newPMD.SetEntry(i, e)
-			as.alloc.Get(e.Frame())
-			if m := as.trk(); m != nil {
-				m.HugeMapped(e.Frame(), newPMD, i, as)
-			}
-			continue
-		}
-		if leaf := old.Child(i); leaf != nil {
-			// A nested last-level table becomes shared between the two
-			// PMD tables, exactly as a plain on-demand fork would share
-			// it.
-			shared := e.Without(pagetable.FlagWritable)
-			old.SetEntry(i, shared)
-			newPMD.SetChild(i, leaf, shared)
-			as.alloc.PTShareGet(leaf.Frame)
-			if m := as.trk(); m != nil {
-				m.OwnerAdd(leaf, as)
-			}
-		}
-	}
-	if as.alloc.PTSharePut(old.Frame) == 0 {
-		panic("core: shared PMD table refcount reached zero during split")
-	}
-	old.Unlock()
-
-	pud.SetChild(pi, newPMD, pagetable.FlagWritable|pagetable.FlagUser)
-	if m := as.trk(); m != nil {
-		m.OwnerAdd(newPMD, as)
-		m.OwnerRemove(old, as)
-	}
-	as.sd.Broadcast()
-	as.prof.Charge(profile.TLBFlush, 1)
-	return newPMD
+	return as.splitSharedTableLocked(parent, slot, t)
 }
 
-// splitSharedLeafLocked implements the PTE-table copy-on-write of
-// §3.4–3.5. If the table is genuinely shared, the faulting process gets
-// a dedicated copy: every present entry is write-protected and marked
-// COW in *both* tables (the deferred per-page work classic fork does
-// eagerly), the new table takes one page reference per present entry,
-// and the old table's share counter is decremented. If this process is
-// the last sharer, the table is simply re-dedicated by restoring the
-// PMD writable bit (the fast path the paper describes when the counter
+// splitSharedTableLocked implements the table copy-on-write of §3.4–3.5
+// at either shared level: old is the last-level table in slot of a PMD
+// table, or — under the §4 huge-page extension — the PMD table in slot
+// of a PUD table. If old is genuinely shared, the faulting process gets
+// a dedicated copy made by the level's copy kernel: every writable page
+// it maps is downgraded to COW in *both* tables (the deferred per-page
+// work classic fork does eagerly) and the copy takes one page reference
+// per mapped page (§3.6) and one share reference per nested table; old
+// loses this process's share reference. If this process is the last
+// sharer, old is simply re-dedicated by restoring the parent entry's
+// writable bit (the fast path the paper describes when the counter
 // reaches one).
 //
 // It returns the table now privately owned by this process.
-func (as *AddressSpace) splitSharedLeafLocked(pmd *pagetable.Table, pi int, old *pagetable.Table, base addr.V) *pagetable.Table {
+func (as *AddressSpace) splitSharedTableLocked(parent *pagetable.Table, slot int, old *pagetable.Table) *pagetable.Table {
 	// Cheap check before allocating: the last sharer re-dedicates
 	// without a copy.
 	if old.ShareCount(as.alloc) == 1 {
@@ -533,10 +450,7 @@ func (as *AddressSpace) splitSharedLeafLocked(pmd *pagetable.Table, pi int, old 
 		last := old.ShareCount(as.alloc) == 1
 		old.Unlock()
 		if last {
-			if !pmd.Entry(pi).Writable() {
-				pmd.SetEntry(pi, pmd.Entry(pi).With(pagetable.FlagWritable))
-				as.noteFastDedup()
-			}
+			as.dedicate(parent, slot)
 			return old
 		}
 	}
@@ -544,47 +458,50 @@ func (as *AddressSpace) splitSharedLeafLocked(pmd *pagetable.Table, pi int, old 
 	// Allocate the new table before taking the shared table's lock, so
 	// an out-of-memory unwind cannot leave the lock held or the split
 	// half-applied. The failpoint fires at the same point for the same
-	// reason.
-	as.failInject(as.alloc.Failpoints(), failpoint.FaultTableCopy)
-	newLeaf := pagetable.NewTableFor(as.alloc, addr.PTE, as.charger)
+	// reason: nothing has been mutated yet.
+	fp := failpoint.FaultTableCopy
+	if old.Level == addr.PMD {
+		fp = failpoint.FaultPMDSplit
+	}
+	as.failInject(as.alloc.Failpoints(), fp)
+	nt := pagetable.NewTableFor(as.alloc, old.Level, as.charger)
 	old.Lock()
 	if old.ShareCount(as.alloc) == 1 {
 		// Raced with another sharer's split/exit: dedicate instead.
 		old.Unlock()
-		as.alloc.Put(newLeaf.Frame)
-		newLeaf.Recycle()
-		if !pmd.Entry(pi).Writable() {
-			pmd.SetEntry(pi, pmd.Entry(pi).With(pagetable.FlagWritable))
-			as.noteFastDedup()
-		}
+		as.alloc.Put(nt.Frame)
+		nt.Recycle()
+		as.dedicate(parent, slot)
 		return old
 	}
 
-	// A genuine split is the deferred table copy of §3.4 — time it for
-	// the fault.table_copy latency histogram alongside the count.
-	as.TableSplits.Add(1)
+	// A genuine split is the deferred table copy of §3.4; a last-level
+	// one is timed for the fault.table_copy latency histogram.
 	var splitStart time.Time
-	if as.met.Enabled() {
-		as.met.Fault.TableSplits.Inc()
-		if ts := as.tslot; ts != nil {
-			ts.Fault.TableSplits.Inc()
-		}
-		splitStart = time.Now()
-	}
-	// Pages writable pre-fork are now shared between at least two
-	// lineages: downgrade them to COW everywhere. The new table takes its
-	// own reference on every page it maps (§3.6: exactly one page
-	// reference per present entry per table).
 	as.prof.Charge(profile.PTCopy, 1)
-	as.copyLeafLocked(newLeaf, old, as)
+	switch old.Level {
+	case addr.PMD:
+		as.notePMDSplit()
+		as.copyPMDLocked(nt, old)
+	default:
+		as.TableSplits.Add(1)
+		if as.met.Enabled() {
+			as.met.Fault.TableSplits.Inc()
+			if ts := as.tslot; ts != nil {
+				ts.Fault.TableSplits.Inc()
+			}
+			splitStart = time.Now()
+		}
+		as.copyLeafLocked(nt, old, as)
+	}
 	if as.alloc.PTSharePut(old.Frame) == 0 {
 		panic("core: shared table refcount reached zero during split")
 	}
 	old.Unlock()
 
-	pmd.SetChild(pi, newLeaf, pagetable.FlagWritable|pagetable.FlagUser)
+	parent.SetChild(slot, nt, pagetable.FlagWritable|pagetable.FlagUser)
 	if m := as.trk(); m != nil {
-		m.OwnerAdd(newLeaf, as)
+		m.OwnerAdd(nt, as)
 		m.OwnerRemove(old, as)
 	}
 	// The old table's entries were COW-downgraded: every sharer's TLB
@@ -594,7 +511,37 @@ func (as *AddressSpace) splitSharedLeafLocked(pmd *pagetable.Table, pi int, old 
 	if !splitStart.IsZero() && as.met.Enabled() {
 		as.met.Fault.TableCopyLatency.ObserveTagged(time.Since(splitStart), as.curReq.Load())
 	}
-	return newLeaf
+	return nt
+}
+
+// dedicate restores the writable bit of parent's entry over a table
+// this process is now the last sharer of.
+func (as *AddressSpace) dedicate(parent *pagetable.Table, slot int) {
+	if e := parent.Entry(slot); !e.Writable() {
+		parent.SetEntry(slot, e.With(pagetable.FlagWritable))
+		as.noteFastDedup()
+	}
+}
+
+// copyPMDLocked is copyLeafLocked one level up: it fills the unpublished
+// PMD table dst with a copy of src, whose lock the caller holds. Huge
+// entries are COW-downgraded in both and their heads referenced in one
+// batch; nested last-level tables become shared between the two, as a
+// plain on-demand fork would share them. Only when reclaim is tracking
+// are dst's huge mappings and its nested tables registered to this
+// space, in a pass of their own.
+func (as *AddressSpace) copyPMDLocked(dst, src *pagetable.Table) {
+	var heads pagetable.LeafFrames
+	as.alloc.GetBatch(heads[:dst.CopyPMDFrom(src, &heads, as.alloc)])
+	if m := as.trk(); m != nil {
+		for i := 0; i < addr.EntriesPerTable; i++ {
+			if e := dst.Entry(i); e.Huge() {
+				m.HugeMapped(e.Frame(), dst, i, as)
+			} else if t := dst.Child(i); t != nil {
+				m.OwnerAdd(t, as)
+			}
+		}
+	}
 }
 
 // copyLeafLocked fills the unpublished table dst with a copy-on-write

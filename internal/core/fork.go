@@ -350,14 +350,26 @@ func (as *AddressSpace) copyTreeOnDemand(src, dst *pagetable.Table, child *Addre
 		return
 	}
 	fp := as.alloc.Failpoints()
-	for i := 0; i < addr.EntriesPerTable; i++ {
+	// The present tally bounds the walk: an upper table maps a handful of
+	// slots, and scanning the empty rest is a fixed cost on every fork.
+	left := src.PresentCount()
+	for i := 0; left > 0 && i < addr.EntriesPerTable; i++ {
 		childTable := src.Child(i)
 		if childTable == nil {
 			continue
 		}
+		left--
 		as.prof.Charge(profile.UpperWalk, 1)
 		if opts.ShareHugePMD && childTable.Level == addr.PMD && hugeOnly(childTable) {
-			as.sharePMDTable(src, dst, i, childTable, child)
+			// The §4 extension: share the whole PMD table describing
+			// 2 MiB pages, write-protecting its 1 GiB region via the PUD
+			// entry.
+			var d pagetable.TallyDelta
+			as.shareTable(src, dst, i, src.Entry(i), childTable, child, &d)
+			dst.FlushTally(d)
+			if as.met.Enabled() {
+				as.met.Fork.PMDTablesShared.Inc()
+			}
 			continue
 		}
 		as.failInject(fp, failpoint.ForkWalk)
@@ -392,11 +404,13 @@ func (as *AddressSpace) sharePMDLeaves(src, dst *pagetable.Table, child *Address
 			as.met.Fork.TablesShared.Add(nShared)
 		}
 	}()
-	for i := 0; i < addr.EntriesPerTable; i++ {
+	left := src.PresentCount()
+	for i := 0; left > 0 && i < addr.EntriesPerTable; i++ {
 		e := src.Entry(i)
 		if !e.Present() {
 			continue
 		}
+		left--
 		walked++
 		as.failInject(fp, failpoint.ForkShare)
 		if e.Huge() {
@@ -410,39 +424,30 @@ func (as *AddressSpace) sharePMDLeaves(src, dst *pagetable.Table, child *Address
 		if leaf == nil {
 			continue
 		}
-		as.alloc.PTShareGet(leaf.Frame)
-		if m := as.trk(); m != nil {
-			// One O(1) ownership record per shared table preserves the
-			// engine's O(#tables) fork cost.
-			m.OwnerAdd(leaf, child)
-		}
+		as.shareTable(src, dst, i, e, leaf, child, &d)
 		if opts.EagerPageRefs || opts.PerPTEProtect {
 			as.ablationLeafPass(leaf, opts)
 		}
-		// Clear the writable bit in the PMD entries of both parent
-		// and child: one hierarchical-attribute update write-protects
-		// the whole 2 MiB region (§3.2).
-		shared := e.Without(pagetable.FlagWritable)
-		src.SetEntry(i, shared)
-		dst.SetChildDeferTally(i, leaf, shared, &d)
 		nShared++
 	}
 }
 
-// sharePMDTable applies the §4 extension at slot i of a PUD table:
-// share the whole PMD table describing 2 MiB pages, write-protecting
-// its 1 GiB region via the PUD entry.
-func (as *AddressSpace) sharePMDTable(src, dst *pagetable.Table, i int, childTable *pagetable.Table, child *AddressSpace) {
-	as.alloc.PTShareGet(childTable.Frame)
+// shareTable is on-demand fork's one share step, at either shared
+// level: table t, in slot i of the parent's src, becomes shared with the
+// child's dst. Its share count and the reclaim ownership registry take
+// the child — one O(1) record per table preserves the engine's
+// O(#tables) fork cost — and e, the slot's entry, loses its writable bit
+// in both parent and child: one hierarchical-attribute update
+// write-protects everything t maps (§3.2). dst's tally change is
+// deferred into d.
+func (as *AddressSpace) shareTable(src, dst *pagetable.Table, i int, e pagetable.Entry, t *pagetable.Table, child *AddressSpace, d *pagetable.TallyDelta) {
+	as.alloc.PTShareGet(t.Frame)
 	if m := as.trk(); m != nil {
-		m.OwnerAdd(childTable, child)
+		m.OwnerAdd(t, child)
 	}
-	shared := src.Entry(i).Without(pagetable.FlagWritable)
+	shared := e.Without(pagetable.FlagWritable)
 	src.SetEntry(i, shared)
-	dst.SetChild(i, childTable, shared)
-	if as.met.Enabled() {
-		as.met.Fork.PMDTablesShared.Inc()
-	}
+	dst.SetChildDeferTally(i, t, shared, d)
 }
 
 // hugeOnly reports whether every present entry of a PMD table maps a

@@ -485,11 +485,11 @@ func (as *AddressSpace) zapHugeLocked(r addr.Range) error {
 
 		if pmd.ShareCount(as.alloc) > 1 {
 			if stillNeeded {
-				pmd = as.splitSharedPMDLocked(pud, pi, pmd)
+				pmd = as.splitSharedTableLocked(pud, pi, pmd)
 			} else {
 				// Whole coverage going away: drop our reference.
 				pud.SetChild(pi, nil, 0)
-				as.releasePMDRef(pmd)
+				as.releaseTableRef(pmd)
 				continue
 			}
 		}
@@ -524,7 +524,7 @@ func (as *AddressSpace) zapRangeLocked(r addr.Range) {
 			// §3.3: other VMAs of this process still use entries of this
 			// shared table — copy it before clearing our part.
 			leaf.Unlock()
-			leaf = as.splitSharedLeafLocked(pmd, idx, leaf, base)
+			leaf = as.splitSharedTableLocked(pmd, idx, leaf)
 			leaf.Lock()
 			shared = false
 		}
@@ -532,7 +532,7 @@ func (as *AddressSpace) zapRangeLocked(r addr.Range) {
 			// Whole relevant coverage going away: drop our reference.
 			leaf.Unlock()
 			pmd.SetChild(idx, nil, 0)
-			as.releaseLeafRef(leaf)
+			as.releaseTableRef(leaf)
 			return
 		}
 
@@ -546,43 +546,66 @@ func (as *AddressSpace) zapRangeLocked(r addr.Range) {
 		leaf.Unlock()
 		if empty && !stillNeeded {
 			pmd.SetChild(idx, nil, 0)
-			as.releaseLeafRef(leaf)
+			as.releaseTableRef(leaf)
 		}
 	})
 }
 
-// releaseLeafRef drops one share reference on a last-level table,
-// freeing the table — and releasing its per-entry page references —
-// when the count reaches zero (§3.5: "if any page table reaches a zero
-// reference count, its destructor is called"). The decrement happens
-// under the table lock so it serializes with concurrent splits by
-// other sharers: a splitter holding the lock cannot observe the count
-// dropping beneath it (the paper's §4 "test-and-set ... when one is
-// being dereferenced and potentially freed").
-func (as *AddressSpace) releaseLeafRef(leaf *pagetable.Table) {
-	leaf.Lock()
-	if as.alloc.PTSharePut(leaf.Frame) > 0 {
-		leaf.Unlock()
+// releaseTableRef drops one share reference on a shareable table — a
+// last-level one, or a PMD table under the huge-page extension —
+// freeing the table and releasing everything it maps when the count
+// reaches zero (§3.5: "if any page table reaches a zero reference
+// count, its destructor is called"). The decrement happens under the
+// table lock so it serializes with concurrent splits by other sharers:
+// a splitter holding the lock cannot observe the count dropping beneath
+// it (the paper's §4 "test-and-set ... when one is being dereferenced
+// and potentially freed").
+func (as *AddressSpace) releaseTableRef(t *pagetable.Table) {
+	t.Lock()
+	if as.alloc.PTSharePut(t.Frame) > 0 {
+		t.Unlock()
 		if m := as.trk(); m != nil {
-			m.OwnerRemove(leaf, as)
+			m.OwnerRemove(t, as)
 		}
 		return
 	}
-	as.drainLeafLocked(leaf, 0, addr.EntriesPerTable)
-	leaf.Unlock()
-	if m := as.trk(); m != nil {
-		m.TableFreed(leaf)
+	if t.Level == addr.PMD {
+		as.drainPMDLocked(t)
+	} else {
+		as.drainLeafLocked(t, 0, addr.EntriesPerTable)
 	}
-	as.alloc.Put(leaf.Frame)
-	leaf.Recycle()
+	t.Unlock()
+	if m := as.trk(); m != nil {
+		m.TableFreed(t)
+	}
+	as.alloc.Put(t.Frame)
+	t.Recycle()
 }
 
-// drainLeafLocked empties entries [lo, hi) of a last-level table this
-// space owns exclusively (share count zero, or one with as.mu held),
-// with the table's lock held: one page reference and one reverse mapping
-// dropped per present entry, one slot reference per swap entry. The
-// reverse map goes first, in its own pass: once reclaim cannot reach the
-// entries nothing else can, so the kernel clears them with plain stores.
+// drainPMDLocked empties a PMD table past its last sharer, with its lock
+// held: every nested last-level table loses this table's share
+// reference, after which only huge entries are left, and those drain
+// like leaf entries — one reverse mapping and one head reference each.
+func (as *AddressSpace) drainPMDLocked(t *pagetable.Table) {
+	for i := 0; i < addr.EntriesPerTable; i++ {
+		if leaf := t.Child(i); leaf != nil {
+			t.SetChild(i, nil, 0)
+			as.releaseTableRef(leaf)
+		}
+	}
+	if t.HugeCount() != 0 {
+		as.drainLeafLocked(t, 0, addr.EntriesPerTable)
+	}
+}
+
+// drainLeafLocked empties entries [lo, hi) of a last-level table — or of
+// a PMD table with no nested tables left, whose huge entries drain the
+// same way — this space owns exclusively (share count zero, or one with
+// as.mu held), with the table's lock held: one page reference and one
+// reverse mapping dropped per present entry, one slot reference per swap
+// entry. The reverse map goes first, in its own pass: once reclaim
+// cannot reach the entries nothing else can, so the kernel clears them
+// with plain stores.
 func (as *AddressSpace) drainLeafLocked(leaf *pagetable.Table, lo, hi int) {
 	if m := as.trk(); m != nil {
 		for i := lo; i < hi; i++ {
@@ -635,7 +658,7 @@ func (as *AddressSpace) Mremap(oldStart addr.V, oldSize uint64) (_ addr.V, err e
 		if shared {
 			// Copy-on-write the table: after the split we own a private
 			// copy whose entries we can safely clear.
-			leaf = as.splitSharedLeafLocked(pmd, idx, leaf, base)
+			leaf = as.splitSharedTableLocked(pmd, idx, leaf)
 		}
 		coverage := addr.NewRange(base, addr.PTECoverage)
 		zap := coverage.Intersect(oldR)
@@ -656,7 +679,7 @@ func (as *AddressSpace) Mremap(oldStart addr.V, oldSize uint64) (_ addr.V, err e
 		leaf.Unlock()
 		if empty {
 			pmd.SetChild(idx, nil, 0)
-			as.releaseLeafRef(leaf)
+			as.releaseTableRef(leaf)
 		}
 	})
 
@@ -728,7 +751,7 @@ func (as *AddressSpace) writeProtectRangeLocked(r addr.Range) {
 		shared := leaf.ShareCount(as.alloc) > 1
 		leaf.Unlock()
 		if shared {
-			leaf = as.splitSharedLeafLocked(pmd, idx, leaf, base)
+			leaf = as.splitSharedTableLocked(pmd, idx, leaf)
 		}
 		coverage := addr.NewRange(base, addr.PTECoverage)
 		zap := coverage.Intersect(r)
@@ -762,7 +785,7 @@ func (as *AddressSpace) Teardown() {
 // leave them shared across processes.
 func (as *AddressSpace) freeTree(t *pagetable.Table) {
 	if t.Level == addr.PMD {
-		as.releasePMDRef(t)
+		as.releaseTableRef(t)
 		return
 	}
 	for i := 0; i < addr.EntriesPerTable; i++ {
@@ -770,45 +793,6 @@ func (as *AddressSpace) freeTree(t *pagetable.Table) {
 			as.freeTree(child)
 			t.SetChild(i, nil, 0)
 		}
-	}
-	as.alloc.Put(t.Frame)
-	t.Recycle()
-}
-
-// releasePMDRef drops one share reference on a PMD table, releasing
-// its huge pages and last-level table references — and the table
-// itself — when the count reaches zero. As with releaseLeafRef, the
-// decrement is serialized with concurrent splits by the table lock.
-func (as *AddressSpace) releasePMDRef(t *pagetable.Table) {
-	t.Lock()
-	if as.alloc.PTSharePut(t.Frame) > 0 {
-		t.Unlock()
-		if m := as.trk(); m != nil {
-			m.OwnerRemove(t, as)
-		}
-		return
-	}
-	for i := 0; i < addr.EntriesPerTable; i++ {
-		e := t.Entry(i)
-		if !e.Present() {
-			continue
-		}
-		if e.Huge() {
-			if m := as.trk(); m != nil {
-				m.HugeUnmapped(e.Frame(), t, i)
-			}
-			as.alloc.Put(e.Frame())
-			t.SetEntry(i, 0)
-			continue
-		}
-		if leaf := t.Child(i); leaf != nil {
-			t.SetChild(i, nil, 0)
-			as.releaseLeafRef(leaf)
-		}
-	}
-	t.Unlock()
-	if m := as.trk(); m != nil {
-		m.TableFreed(t)
 	}
 	as.alloc.Put(t.Frame)
 	t.Recycle()

@@ -7,14 +7,15 @@ import (
 	"repro/internal/mem/phys"
 )
 
-// Whole-table kernels for last-level tables. Copying a leaf (a table
-// split, one slot of classic fork) and draining one (exit, munmap, fork
-// rollback) are bulk operations on a 4 KiB page of entries, not 512
-// independent updates: one pass, the tallies touched once, and the
-// present frames handed back so the caller pays the one per-entry cost
-// the design requires — the page reference count — through
-// phys.GetBatch / PutBatch. Reference counts, reverse maps and profile
-// counters stay with package core.
+// Whole-table kernels. Copying a table (a table split, one slot of
+// classic fork) and draining one (exit, munmap, fork rollback) are bulk
+// operations on a 4 KiB page of entries, not 512 independent updates:
+// one pass, the tallies touched once, and the mapped frames handed back
+// so the caller pays the one per-entry cost the design requires — the
+// page reference count — through phys.GetBatch / PutBatch. Page
+// reference counts, reverse maps and profile counters stay with package
+// core; the one count a kernel takes itself is a nested table's share
+// count in CopyPMDFrom.
 
 // LeafFrames is the array a kernel gathers present frames into; callers
 // keep it on their stack.
@@ -60,6 +61,46 @@ func (t *Table) CopyLeafFrom(src *Table, frames *LeafFrames, swapSlot func(slot 
 	t.present.Store(int32(n))
 	t.huge.Store(huge)
 	t.swapped.Store(swapped)
+	return n
+}
+
+// CopyPMDFrom is CopyLeafFrom one level up, for the huge-page extension:
+// it fills t with a copy of the PMD table src and returns the number of
+// huge entries, their head frames left in heads[:n] in index order.
+// Writable huge entries are COW-downgraded in both tables, as leaf
+// entries are. A nested last-level table becomes shared between src and
+// t: its entry loses the writable bit in both, and its share count takes
+// one reference through alloc. The caller holds src's lock, and t must
+// be unpublished and clean, as for CopyLeafFrom.
+func (t *Table) CopyPMDFrom(src *Table, heads *LeafFrames, alloc *phys.Allocator) int {
+	var n, nested int
+	for i := range src.entries {
+		e := Entry(atomic.LoadUint64(&src.entries[i]))
+		if e&FlagPresent == 0 {
+			continue
+		}
+		was := e
+		if e&FlagHuge != 0 {
+			if e&FlagWritable != 0 {
+				e = e&^(FlagWritable|FlagDirty) | FlagCOW
+			}
+			heads[n] = e.Frame()
+			n++
+		} else if child := src.children[i]; child != nil {
+			e &^= FlagWritable
+			t.children[i] = child
+			alloc.PTShareGet(child.Frame)
+			nested++
+		} else {
+			continue
+		}
+		if e != was {
+			atomic.StoreUint64(&src.entries[i], uint64(e))
+		}
+		t.entries[i] = uint64(e)
+	}
+	t.present.Store(int32(n + nested))
+	t.huge.Store(int32(n))
 	return n
 }
 

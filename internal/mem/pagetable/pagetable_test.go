@@ -10,7 +10,8 @@ import (
 )
 
 func newWalker() *Walker {
-	return NewWalker(phys.NewAllocator(nil), nil)
+	alloc := phys.NewAllocator(nil)
+	return &Walker{Root: NewTable(alloc, addr.PGD), Alloc: alloc}
 }
 
 func TestEntryEncoding(t *testing.T) {

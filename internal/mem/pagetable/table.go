@@ -177,8 +177,9 @@ func (t *Table) SetChild(i int, child *Table, flags Entry) {
 // IsLeaf reports whether this is a last-level (PTE) table.
 func (t *Table) IsLeaf() bool { return t.Level == addr.PTE }
 
-// ShareCount returns the share counter of a last-level table, read from
-// its backing frame's struct page union.
+// ShareCount returns the share counter of a table (last-level, or a PMD
+// table under the huge-page extension), read from its backing frame's
+// struct page union.
 func (t *Table) ShareCount(alloc *phys.Allocator) int32 {
 	return alloc.PTShareCount(t.Frame)
 }
@@ -269,15 +270,6 @@ type Walker struct {
 	// Charger is the tenant account tables allocated by the Ensure*
 	// walks are charged to (nil = unaccounted).
 	Charger phys.FrameCharger
-}
-
-// NewWalker returns a walker over a fresh 4-level hierarchy.
-func NewWalker(alloc *phys.Allocator, prof *profile.Profiler) *Walker {
-	return &Walker{
-		Root:  NewTable(alloc, addr.PGD),
-		Alloc: alloc,
-		Prof:  prof,
-	}
 }
 
 // EnsurePMD walks to (allocating as needed) the PMD table covering v

@@ -1244,6 +1244,15 @@ func (m *Manager) Mapped(f phys.Frame, t *pagetable.Table, idx int) bool {
 	return false
 }
 
+// Owns reports whether the ownership registry records s as an owner of
+// table t (tests and diagnostics, like Mapped).
+func (m *Manager) Owns(t *pagetable.Table, s Space) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.owners[t][s]
+	return ok
+}
+
 // VerifyBookkeeping cross-checks reclaim state against ground truth
 // collected by an invariant walk over every address space sharing the
 // allocator: wantSlots maps swap slot → number of swap PTEs found. It

@@ -2,6 +2,7 @@ package odfork_test
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +22,8 @@ func TestSnapshotterPublicSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The notify callback runs on the snapshotter's goroutine.
+	var mu sync.Mutex
 	var seen []odfork.SnapshotStats
 	done := make(chan struct{}, 16)
 	snap, err := p.StartSnapshotter(time.Millisecond,
@@ -30,7 +33,9 @@ func TestSnapshotterPublicSurface(t *testing.T) {
 			return c.WriteAt([]byte("child-private"), base)
 		}),
 		odfork.WithSnapshotNotify(func(st odfork.SnapshotStats) {
+			mu.Lock()
 			seen = append(seen, st)
+			mu.Unlock()
 			done <- struct{}{}
 		}))
 	if err != nil {
@@ -58,11 +63,13 @@ func TestSnapshotterPublicSurface(t *testing.T) {
 	if tot.Snapshots != snap.Snapshots() || tot.ForkMean <= 0 || tot.ChildErrs != 0 {
 		t.Errorf("totals: %+v", tot)
 	}
+	mu.Lock()
 	for _, st := range seen {
 		if st.Err != nil {
 			t.Errorf("snapshot %d child err: %v", st.Seq, st.Err)
 		}
 	}
+	mu.Unlock()
 	// Parent memory untouched by child scribbles.
 	var b [1]byte
 	if err := p.ReadAt(b[:], base); err != nil {
