@@ -1,11 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet loc test race bench bench-json bench-gate bench-gate-baseline pressure trace chaos slo serverless obs-scrape ckpt
-
-# Newest committed curated baseline (BENCH_<date>.json sorts by date).
-# *_pre.json files are point-in-time "before" records kept for the
-# history, never the gate's reference.
-BENCH_BASELINE ?= $(lastword $(sort $(filter-out %_pre.json,$(wildcard BENCH_*.json))))
+.PHONY: all build vet loc test race bench bench-gate pressure trace chaos slo serverless obs-scrape ckpt
 
 all: build test
 
@@ -50,34 +45,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=20x .
 
-# Emit the odf-bench/v1 JSON record (fork p50/p99 by mode and size,
-# fault fast-path latency, COW faults/sec, allocs/op). Curated
-# baselines are committed as BENCH_<date>.json; bench_out.json is
-# transient output and gitignored. GOMAXPROCS is pinned to 1 so the
-# record measures single-core hot-path cost: classic fork switches to
-# its parallel engine above one proc, which makes the numbers a
-# function of the machine's core count rather than of the code.
-bench-json:
-	GOMAXPROCS=1 $(GO) run ./cmd/odf-benchjson -out bench_out.json
-
-# Drift-proof regression gate: an interleaved A/B split-half
-# measurement of HEAD at small size. Rounds alternate between two
-# cells; the gate fails only when the two halves of the SAME code
-# disagree past the 5% threshold in every attempt — i.e. when the
-# runner cannot resolve a regression of that size, or a change made
-# the hot path's cost unstable. The newest committed baseline is
-# compared advisorily (deltas printed, never failing), since committed
-# numbers were measured on different hardware and drift with the host.
-# GOMAXPROCS must match bench-json's pin — single-core hot-path cost.
+# Smoke of the A/B protocol (cmd/odf-ab): the repository benchmark at
+# tiny scale, one interleaved pair of HEAD~1 and the working tree, every
+# workload. It fails when a run errors, reports "correct": false or has
+# failed operations, and never on a number: a 2-CPU runner cannot
+# resolve a 10 % move. Measure a claim with the full protocol instead,
+# e.g. `go run ./cmd/odf-ab -pairs 10 HEAD~1`.
 bench-gate:
-	GOMAXPROCS=1 $(GO) run ./cmd/odf-benchjson -short -ab -out bench_out.json \
-		-compare $(BENCH_BASELINE) -threshold 0.05
-
-# The old absolute gate against the committed baseline, for machines
-# comparable to the one that measured it.
-bench-gate-baseline:
-	GOMAXPROCS=1 $(GO) run ./cmd/odf-benchjson -short -out bench_out.json \
-		-compare $(BENCH_BASELINE) -threshold 0.05
+	$(GO) run ./cmd/odf-ab -pairs 1 -scale tiny HEAD~1
 
 # Memory-pressure gate: the reclaim stress tests under -race (kswapd
 # eviction during concurrent forks, swap round-trips, the serverless

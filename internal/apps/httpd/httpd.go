@@ -196,36 +196,3 @@ type BenchResult struct {
 
 // BenchPercentiles are the Table 7 rows.
 var BenchPercentiles = []float64{50, 75, 90, 99}
-
-// RunBench starts a server with the given engine, replays n requests,
-// and reports client-observed latency, mirroring the wrk run taken
-// immediately after server start.
-func RunBench(k *kernel.Kernel, cfg Config, n int) (BenchResult, error) {
-	s, err := Start(k, cfg)
-	if err != nil {
-		return BenchResult{}, err
-	}
-	defer s.Stop()
-
-	var lat stats.Sample
-	req := make([]byte, 64)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(req, uint64(i))
-		t0 := time.Now()
-		if _, err := s.Handle(req); err != nil {
-			return BenchResult{}, err
-		}
-		lat.Add(float64(time.Since(t0)) / float64(time.Microsecond))
-	}
-	res := BenchResult{
-		Mode:        cfg.Mode,
-		MeanUS:      lat.Mean(),
-		MaxUS:       lat.Max(),
-		Percentiles: make(map[float64]float64, len(BenchPercentiles)),
-		StartupMS:   s.StartupForkTimes.Mean() * float64(s.StartupForkTimes.N()),
-	}
-	for _, p := range BenchPercentiles {
-		res.Percentiles[p] = lat.Percentile(p)
-	}
-	return res, nil
-}

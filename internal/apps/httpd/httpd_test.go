@@ -18,26 +18,30 @@ func testConfig(mode core.ForkMode) Config {
 }
 
 func TestStartAndStop(t *testing.T) {
+	// Both engines on one kernel: each pool boots, times its startup
+	// forks and frees every frame on Stop.
 	k := kernel.New()
-	s, err := Start(k, testConfig(core.ForkClassic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Workers() != 4 {
-		t.Errorf("Workers = %d", s.Workers())
-	}
-	if k.NumProcesses() != 5 { // master + 4 workers
-		t.Errorf("processes = %d", k.NumProcesses())
-	}
-	if s.StartupForkTimes.N() != 4 {
-		t.Errorf("startup forks recorded = %d", s.StartupForkTimes.N())
-	}
-	s.Stop()
-	if k.NumProcesses() != 0 {
-		t.Errorf("processes after stop = %d", k.NumProcesses())
-	}
-	if n := k.Allocator().Allocated(); n != 0 {
-		t.Errorf("leak: %d frames", n)
+	for _, mode := range []core.ForkMode{core.ForkClassic, core.ForkOnDemand} {
+		s, err := Start(k, testConfig(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Workers() != 4 {
+			t.Errorf("%v: Workers = %d", mode, s.Workers())
+		}
+		if k.NumProcesses() != 5 { // master + 4 workers
+			t.Errorf("%v: processes = %d", mode, k.NumProcesses())
+		}
+		if n := s.StartupForkTimes.N(); n != 4 || s.StartupForkTimes.Mean() <= 0 {
+			t.Errorf("%v: startup forks recorded = %d, mean %f ms", mode, n, s.StartupForkTimes.Mean())
+		}
+		s.Stop()
+		if k.NumProcesses() != 0 {
+			t.Errorf("%v: processes after stop = %d", mode, k.NumProcesses())
+		}
+		if n := k.Allocator().Allocated(); n != 0 {
+			t.Errorf("%v: leak: %d frames", mode, n)
+		}
 	}
 }
 
@@ -100,30 +104,6 @@ func TestWorkerIsolation(t *testing.T) {
 	}
 	if !bytes.Equal(r1, r2) {
 		t.Error("identical request served differently after interleaved traffic")
-	}
-}
-
-func TestRunBenchBothModes(t *testing.T) {
-	k := kernel.New()
-	for _, mode := range []core.ForkMode{core.ForkClassic, core.ForkOnDemand} {
-		res, err := RunBench(k, testConfig(mode), 200)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if res.MeanUS <= 0 || res.MaxUS < res.MeanUS {
-			t.Errorf("%v: implausible latencies %+v", mode, res)
-		}
-		for _, p := range BenchPercentiles {
-			if res.Percentiles[p] <= 0 {
-				t.Errorf("%v: P%v = %f", mode, p, res.Percentiles[p])
-			}
-		}
-		if res.StartupMS <= 0 {
-			t.Errorf("%v: startup = %f", mode, res.StartupMS)
-		}
-	}
-	if n := k.Allocator().Allocated(); n != 0 {
-		t.Errorf("leak: %d frames", n)
 	}
 }
 

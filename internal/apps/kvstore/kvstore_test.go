@@ -101,91 +101,33 @@ func TestSnapshotConsistency(t *testing.T) {
 }
 
 func TestThresholdTriggersSnapshot(t *testing.T) {
-	k := kernel.New()
-	cfg := testConfig(core.ForkOnDemand)
-	cfg.Threshold = 10
-	s, err := New(k, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	snaps := 0
-	for i := 0; i < 25; i++ {
-		trig, err := s.Set(Key(i), []byte("v"))
+	// Both engines: the threshold forks a snapshot, and each fork is
+	// timed.
+	for _, mode := range []core.ForkMode{core.ForkClassic, core.ForkOnDemand} {
+		k := kernel.New()
+		cfg := testConfig(mode)
+		cfg.Threshold = 10
+		s, err := New(k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trig {
-			snaps++
+		snaps := 0
+		for i := 0; i < 25; i++ {
+			trig, err := s.Set(Key(i), []byte("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trig {
+				snaps++
+			}
 		}
-	}
-	if snaps != 2 {
-		t.Errorf("snapshots = %d, want 2 (25 sets, threshold 10)", snaps)
-	}
-	s.WaitSnapshots()
-}
-
-func TestRunLatencySmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("latency benchmark in -short mode")
-	}
-	for _, mode := range []core.ForkMode{core.ForkClassic, core.ForkOnDemand} {
-		cfg := LatencyConfig{
-			Store: Config{
-				ArenaBytes: 1 << 25,
-				TableCap:   1 << 13,
-				Mode:       mode,
-				Threshold:  500,
-			},
-			Keys:      2000,
-			ValueSize: 32,
-			Requests:  4000,
-			LoadRatio: 0.5,
-			Seed:      1,
+		s.WaitSnapshots()
+		if snaps != 2 || s.Snapshots() != 2 {
+			t.Errorf("%v: snapshots = %d triggered, %d taken, want 2 (25 sets, threshold 10)", mode, snaps, s.Snapshots())
 		}
-		res, err := RunLatency(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+		if n := s.ForkTimes.N(); n != 2 || s.ForkTimes.Mean() <= 0 {
+			t.Errorf("%v: %d fork times, mean %f ms, want 2 timed forks", mode, n, s.ForkTimes.Mean())
 		}
-		if res.Snapshots == 0 {
-			t.Errorf("%v: no snapshots ran", mode)
-		}
-		if res.Percentiles[50] <= 0 || res.Percentiles[99.99] < res.Percentiles[50] {
-			t.Errorf("%v: implausible percentiles %+v", mode, res.Percentiles)
-		}
-		if res.ForkMean <= 0 {
-			t.Errorf("%v: fork mean = %f", mode, res.ForkMean)
-		}
-	}
-}
-
-func TestRunLatencyZipfian(t *testing.T) {
-	if testing.Short() {
-		t.Skip("latency benchmark in -short mode")
-	}
-	cfg := LatencyConfig{
-		Store: Config{
-			ArenaBytes: 1 << 25,
-			TableCap:   1 << 13,
-			Mode:       core.ForkOnDemand,
-			Threshold:  1000,
-		},
-		Keys:      2000,
-		ValueSize: 32,
-		Requests:  3000,
-		LoadRatio: 0.3,
-		Seed:      5,
-		Runs:      1,
-		Zipfian:   true,
-	}
-	res, err := RunLatency(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Snapshots == 0 {
-		t.Error("zipfian run took no snapshots")
-	}
-	if res.Percentiles[50] < 0 || res.Percentiles[99.99] < res.Percentiles[50] {
-		t.Errorf("implausible percentiles: %+v", res.Percentiles)
+		s.Close()
 	}
 }

@@ -1,49 +1,11 @@
 package kvstore
 
-import (
-	"fmt"
-	"math/rand"
-	"runtime"
-	"time"
+import "repro/internal/core"
 
-	"repro/internal/core"
-	"repro/internal/kernel"
-	"repro/internal/stats"
-)
-
-// The latency benchmark reproduces the paper's memtier setup (Table 4):
-// clients issue SET requests at a fixed arrival rate while the server,
-// single-threaded like Redis, serves them in order and periodically
-// snapshots via fork. Request latency is queueing delay plus service
-// time; during a fork the server is unresponsive and queued requests
-// absorb the blocking time — the tail-latency effect the paper reports.
-//
-// Arrivals are scheduled on a virtual timeline (arrival_i = i/rate) and
-// each request's completion is max(previous completion, arrival) plus
-// its *measured* service time, so the queueing model is analytic but
-// every service and fork cost is real simulated-kernel work.
-
-// LatencyConfig parameterizes the benchmark.
-type LatencyConfig struct {
-	Store     Config
-	Keys      int     // preloaded keys
-	ValueSize int     // value bytes per SET
-	Requests  int     // total requests to issue
-	LoadRatio float64 // arrival rate as a fraction of measured capacity
-	Seed      int64
-	// Runs repeats the whole benchmark and reports, per percentile, the
-	// minimum across runs. Systematic latency sources (the fork block,
-	// post-snapshot copy-on-write) recur at the same points in every
-	// run and survive the minimum; random host-side pauses (GC,
-	// scheduling) do not. Defaults to 3.
-	Runs int
-	// Zipfian selects a skewed (s=1.1) key popularity distribution
-	// instead of uniform-random, the hot-key pattern real caches see.
-	// Skew concentrates post-snapshot copy-on-write on fewer pages.
-	Zipfian bool
-}
-
-// LatencyResult is the Table 4 + Table 5 output for one engine.
+// LatencyResult is the Table 4 + Table 5 output for one engine: the
+// paper's memtier setup, where clients issue SET requests at a fixed
+// arrival rate while the single-threaded server periodically snapshots
+// via fork (driven by experiments.RunTab45 through serve.RunLoop).
 type LatencyResult struct {
 	Mode        core.ForkMode
 	Percentiles map[float64]float64 // percentile -> latency ms
@@ -55,109 +17,3 @@ type LatencyResult struct {
 
 // LatencyPercentiles are the rows of Table 4.
 var LatencyPercentiles = []float64{50, 90, 95, 99, 99.9, 99.99}
-
-// RunLatency executes the benchmark for one fork engine.
-func RunLatency(cfg LatencyConfig) (LatencyResult, error) {
-	runs := cfg.Runs
-	if runs <= 0 {
-		runs = 3
-	}
-	var out LatencyResult
-	for r := 0; r < runs; r++ {
-		// Level the heap between runs: the benchmark measures µs-scale
-		// service times, and garbage left by a previous run (or previous
-		// experiment) otherwise lands as GC pauses inside one engine's
-		// pass.
-		runtime.GC()
-		res, err := runLatencyOnce(cfg, cfg.Seed+int64(r))
-		if err != nil {
-			return LatencyResult{}, err
-		}
-		if r == 0 {
-			out = res
-			continue
-		}
-		for p, v := range res.Percentiles {
-			if v < out.Percentiles[p] {
-				out.Percentiles[p] = v
-			}
-		}
-		if res.ForkMean < out.ForkMean {
-			out.ForkMean, out.ForkStdDev = res.ForkMean, res.ForkStdDev
-		}
-	}
-	return out, nil
-}
-
-// runLatencyOnce performs one full benchmark pass on a fresh store.
-func runLatencyOnce(cfg LatencyConfig, seed int64) (LatencyResult, error) {
-	k := kernel.New()
-	storeCfg := cfg.Store
-	if storeCfg.SnapshotIODelay == 0 {
-		storeCfg.SnapshotIODelay = time.Millisecond
-	}
-	st, err := New(k, storeCfg)
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	defer st.Close()
-	if err := st.Populate(cfg.Keys, cfg.ValueSize); err != nil {
-		return LatencyResult{}, err
-	}
-
-	rng := rand.New(rand.NewSource(seed))
-	val := make([]byte, cfg.ValueSize)
-	nextKey := func() []byte { return Key(rng.Intn(cfg.Keys)) }
-	if cfg.Zipfian {
-		z := rand.NewZipf(rng, 1.1, 1, uint64(cfg.Keys-1))
-		nextKey = func() []byte { return Key(int(z.Uint64())) }
-	}
-
-	// Calibrate: measure raw SET capacity without snapshots.
-	st.SnapshotThreshold = 0
-	calN := 2000
-	calStart := time.Now()
-	for i := 0; i < calN; i++ {
-		if _, err := st.Set(nextKey(), val); err != nil {
-			return LatencyResult{}, err
-		}
-	}
-	capacity := float64(calN) / time.Since(calStart).Seconds()
-	rate := capacity * cfg.LoadRatio
-	if rate <= 0 {
-		return LatencyResult{}, fmt.Errorf("kvstore: degenerate calibration rate %f", rate)
-	}
-	interarrival := time.Duration(float64(time.Second) / rate)
-
-	// Benchmark proper.
-	st.SnapshotThreshold = cfg.Store.Threshold
-	st.ForkTimes = stats.Sample{}
-	var lat stats.Sample
-	virtualNow := time.Duration(0) // completion time of previous request
-	for i := 0; i < cfg.Requests; i++ {
-		arrival := time.Duration(i) * interarrival
-		if virtualNow < arrival {
-			virtualNow = arrival
-		}
-		svcStart := time.Now()
-		if _, err := st.Set(nextKey(), val); err != nil {
-			return LatencyResult{}, err
-		}
-		virtualNow += time.Since(svcStart)
-		lat.AddDuration(virtualNow - arrival)
-	}
-	st.WaitSnapshots()
-
-	res := LatencyResult{
-		Mode:        cfg.Store.Mode,
-		Percentiles: make(map[float64]float64, len(LatencyPercentiles)),
-		ForkMean:    st.ForkTimes.Mean(),
-		ForkStdDev:  st.ForkTimes.StdDev(),
-		Snapshots:   st.Snapshots(),
-		MeanRate:    rate,
-	}
-	for _, p := range LatencyPercentiles {
-		res.Percentiles[p] = lat.Percentile(p)
-	}
-	return res, nil
-}

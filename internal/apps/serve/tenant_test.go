@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/apps/kvstore"
 	"repro/internal/core"
@@ -146,6 +147,11 @@ func TestDispatcherOverTCP(t *testing.T) {
 		if want := byte('x' + i); len(val) != 1 || val[0] != want {
 			t.Fatalf("tenant %d read %q over TCP, want %q", id, val, []byte{want})
 		}
+	}
+	// The server counts a request after flushing its response, so the
+	// last count can land after the client has read the reply.
+	for deadline := time.Now().Add(10 * time.Second); srv.Served() < 4 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if srv.Served() != 4 {
 		t.Fatalf("server answered %d requests, want 4", srv.Served())

@@ -4,9 +4,10 @@ package core
 // correlation context is read only inside already-instrumented
 // Enabled() blocks and the per-tenant slot is one pointer check behind
 // the same guard, so arming both must leave the fast fault path's cost
-// within noise of the untagged baseline. This test measures it the way
-// internal/bench does — interleaved rounds, best-of per cell — and
-// gates at 2%.
+// within noise of the untagged baseline. This test measures it in
+// interleaved rounds, tagged and untagged alternating so host drift
+// hits both cells alike, keeps the best round per cell (jitter only
+// ever slows a round), and gates at 2%.
 
 import (
 	"runtime"

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -206,20 +207,36 @@ func TestRunFig9Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
 	}
-	res, text, err := RunFig9(tinyScale())
-	if err != nil {
-		t.Fatal(err)
+	// Each campaign is one second of wall time per engine, so a burst of
+	// load from a parallel test package can sink either engine's mean.
+	// Compare the median over three campaigns, not one.
+	const rounds = 3
+	var classic, odf []float64
+	for i := 0; i < rounds; i++ {
+		res, text, err := RunFig9(tinyScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Execs == 0 || res[1].Execs == 0 {
+			t.Fatalf("no executions: %+v", res)
+		}
+		if !strings.Contains(text, "Figure 9") {
+			t.Fatal("text malformed")
+		}
+		classic = append(classic, res[0].MeanRate)
+		odf = append(odf, res[1].MeanRate)
 	}
-	if res[0].Execs == 0 || res[1].Execs == 0 {
-		t.Fatalf("no executions: %+v", res)
+	if c, o := median(classic), median(odf); o <= c {
+		t.Errorf("fig9: median odf rate (%.1f) not above classic (%.1f); classic %v, odf %v",
+			o, c, classic, odf)
 	}
-	if res[1].MeanRate <= res[0].MeanRate {
-		t.Errorf("fig9: odf rate (%.1f) not above classic (%.1f)",
-			res[1].MeanRate, res[0].MeanRate)
-	}
-	if !strings.Contains(text, "Figure 9") {
-		t.Error("text malformed")
-	}
+}
+
+// median returns the middle value of an odd-length sample.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
 }
 
 func TestRunFig10Tiny(t *testing.T) {

@@ -6,10 +6,9 @@ import (
 	"os"
 )
 
-// SchemaV1 identifies the SLO result schema, the odf-bench/v1
-// companion. Like the bench schema, raw latencies are not comparable
-// across machines; the classic-vs-on-demand contrast within one file
-// is the portable signal.
+// SchemaV1 identifies the SLO result schema. Raw latencies are not
+// comparable across machines; the classic-vs-on-demand contrast within
+// one file is the portable signal.
 const SchemaV1 = "odf-slo/v1"
 
 // Result is one harness invocation: a sweep of (fork mode, offered
